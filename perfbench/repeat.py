@@ -9,9 +9,9 @@ the quartiles as a share of the median):
     python3 perfbench/repeat.py run --runs 10 --first-seed 101 --out b.json
 
 Compare two such sets against the bounds in BENCHMARK.json; exits non-zero
-when a spread exceeds its bound (setup_s excepted), when the second set's
-median is worse than the first's by more than the bound, or when the share
-of failed operations differs:
+when a spread exceeds its bound, when the second set's median is worse than
+the first's by more than the bound, when a run was incorrect, or when the
+share of failed operations differs:
 
     python3 perfbench/repeat.py compare a.json b.json
 
@@ -105,7 +105,7 @@ def compare(a, b, spec):
             sa = a["workloads"][workload]["summary"][name]
             sb = b["workloads"][workload]["summary"][name]
             for label, s in (("first", sa), ("second", sb)):
-                if name != "setup_s" and s["spread"] > bound:
+                if s["spread"] > bound:
                     problems.append(f"{workload} {name}: {label} set spread "
                                     f"{s['spread']:.3f} > bound {bound}")
             change = (sb["median"] - sa["median"]) / abs(sa["median"])

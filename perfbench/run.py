@@ -7,8 +7,7 @@ Run from the repository root. The first run configures and compiles the
 repository's libraries and the benchmark program into .bench_build/perfbench
 (Release, -O2); later runs only rebuild what changed. Build output goes to
 standard error. Standard output is the benchmark program's: a details line,
-then the result object as the last line. A traced run (--trace 1) also
-writes its spans to .bench_build/traces/<workload>-seed<seed>.json.
+then the result object as the last line.
 
 Exits non-zero without printing a result when the build fails, the
 benchmark program fails or overruns, or its metrics do not match
@@ -63,11 +62,6 @@ def main():
 
     command = [BINARY, "--workload", args.workload, "--seed", str(args.seed),
                "--seconds", str(args.seconds), "--trace", str(args.trace)]
-    if args.trace:
-        traces = os.path.join(ROOT, ".bench_build", "traces")
-        os.makedirs(traces, exist_ok=True)
-        command += ["--trace-out", os.path.join(
-            traces, f"{args.workload}-seed{args.seed}.json")]
     try:
         run = subprocess.run(command, stdout=subprocess.PIPE, text=True,
                              timeout=RUN_TIMEOUT_S)

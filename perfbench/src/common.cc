@@ -6,7 +6,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
 
 namespace perfbench {
 
@@ -202,95 +201,6 @@ double MajorityMacroF1(const std::vector<int>& labels) {
   Counts c;
   for (const int l : labels) c.Add(majority, l);
   return c.MacroF1();
-}
-
-namespace {
-thread_local std::vector<int64_t> t_open_spans;
-}  // namespace
-
-Tracer::Span::Span(Tracer* tracer, const char* layer, const char* name)
-    : tracer_(tracer) {
-  if (tracer_ != nullptr && tracer_->enabled_) {
-    id_ = tracer_->Open(layer, name);
-  }
-}
-
-Tracer::Span::~Span() {
-  if (id_ >= 0) tracer_->Close(id_);
-}
-
-int64_t Tracer::Open(const char* layer, const char* name) {
-  Record record;
-  record.parent = t_open_spans.empty() ? -1 : t_open_spans.back();
-  record.layer = layer;
-  record.name = name;
-  record.start_ns = NowNs();
-  std::lock_guard<std::mutex> lock(mu_);
-  records_.push_back(std::move(record));
-  const int64_t id = static_cast<int64_t>(records_.size()) - 1;
-  t_open_spans.push_back(id);
-  return id;
-}
-
-void Tracer::Close(int64_t id) {
-  const int64_t end = NowNs();
-  if (!t_open_spans.empty() && t_open_spans.back() == id) {
-    t_open_spans.pop_back();
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  records_[static_cast<size_t>(id)].end_ns = end;
-}
-
-std::map<std::string, Tracer::LayerTime> Tracer::LayerTimes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  std::vector<int64_t> child_ns(records_.size(), 0);
-  for (const Record& r : records_) {
-    if (r.parent >= 0) {
-      child_ns[static_cast<size_t>(r.parent)] += r.end_ns - r.start_ns;
-    }
-  }
-  std::map<std::string, LayerTime> out;
-  for (size_t i = 0; i < records_.size(); ++i) {
-    const Record& r = records_[i];
-    LayerTime& t = out[r.layer];
-    const double span_s = static_cast<double>(r.end_ns - r.start_ns) / 1e9;
-    t.total_s += span_s;
-    t.self_s += span_s - static_cast<double>(child_ns[i]) / 1e9;
-    ++t.spans;
-  }
-  return out;
-}
-
-JsonObject Tracer::LayerJson() const {
-  JsonObject layers;
-  for (const auto& [layer, time] : LayerTimes()) {
-    JsonObject entry;
-    entry.Add("total_s", time.total_s)
-        .Add("self_s", time.self_s)
-        .Add("spans", time.spans);
-    layers.Add(layer, entry);
-  }
-  return layers;
-}
-
-bool Tracer::WriteJson(const std::string& path) const {
-  std::ofstream out(path);
-  if (!out) return false;
-  std::lock_guard<std::mutex> lock(mu_);
-  out << "[\n";
-  for (size_t i = 0; i < records_.size(); ++i) {
-    const Record& r = records_[i];
-    JsonObject span;
-    span.Add("id", static_cast<int64_t>(i))
-        .Add("parent", r.parent)
-        .Add("layer", r.layer)
-        .Add("name", r.name)
-        .Add("start_ns", r.start_ns)
-        .Add("end_ns", r.end_ns);
-    out << "  " << span.ToString() << (i + 1 < records_.size() ? ",\n" : "\n");
-  }
-  out << "]\n";
-  return static_cast<bool>(out);
 }
 
 }  // namespace perfbench

@@ -1,12 +1,10 @@
 // Shared pieces of the DTDBD benchmark program: clocks, the run result and
 // its JSON form, percentiles, the independent quality evaluator the
-// oracles compare against, and the span recorder used by traced runs.
+// oracles compare against.
 #ifndef PERFBENCH_COMMON_H_
 #define PERFBENCH_COMMON_H_
 
 #include <cstdint>
-#include <map>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -108,66 +106,12 @@ Quality EvaluateQuality(const std::vector<int>& predictions,
 // Macro-F1 of always answering the majority label.
 double MajorityMacroF1(const std::vector<int>& labels);
 
-// Spans recorded around calls into the repository's layers. Disabled
-// tracers record nothing and read no clock. Spans nest per thread: a span
-// opened while another is open on the same thread becomes its child.
-class Tracer {
- public:
-  explicit Tracer(bool enabled) : enabled_(enabled) {}
-  Tracer(const Tracer&) = delete;
-  Tracer& operator=(const Tracer&) = delete;
-
-  class Span {
-   public:
-    Span(Tracer* tracer, const char* layer, const char* name);
-    ~Span();
-    Span(const Span&) = delete;
-    Span& operator=(const Span&) = delete;
-
-   private:
-    Tracer* tracer_;
-    int64_t id_ = -1;
-  };
-
-  bool enabled() const { return enabled_; }
-
-  // Per layer: total span time and self time (span time not covered by
-  // child spans), in seconds, and the number of spans.
-  struct LayerTime {
-    double total_s = 0.0;
-    double self_s = 0.0;
-    int64_t spans = 0;
-  };
-  std::map<std::string, LayerTime> LayerTimes() const;
-  // LayerTimes() as {layer: {total_s, self_s, spans}}.
-  JsonObject LayerJson() const;
-
-  // Writes every span as one JSON array.
-  bool WriteJson(const std::string& path) const;
-
- private:
-  struct Record {
-    int64_t parent = -1;
-    std::string layer;
-    std::string name;
-    int64_t start_ns = 0;
-    int64_t end_ns = 0;
-  };
-  int64_t Open(const char* layer, const char* name);
-  void Close(int64_t id);
-
-  const bool enabled_;
-  mutable std::mutex mu_;
-  std::vector<Record> records_;  // guarded by mu_
-};
-
 // One benchmark invocation. The workload's inputs are a pure function of
 // `seed`; `seconds` is how long the measured phase runs.
 struct RunOptions {
   uint64_t seed = 1;
   double seconds = 10.0;
   bool trace = false;
-  std::string trace_path;  // where a traced run writes its spans
 };
 
 RunResult RunDistill(const RunOptions& options);

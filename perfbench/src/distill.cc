@@ -1,9 +1,10 @@
 // Workload `distill`: the paper's Algorithm 1 end to end. Per round, one
 // MDFEND clean teacher, then for each student architecture (TextCNN-S,
 // BiGRU-S) a DAT-IE unbiased teacher and TrainDtdbd into a fresh student,
-// a test-split evaluation, and batch-of-one inference latency of the
-// distilled student. Rounds repeat until the run's time is spent, each on
-// its own corpus and model seeds derived from the run's seed. Student
+// and a test-split evaluation. Rounds repeat until the run's time is
+// spent, each on its own corpus and model seeds derived from the run's
+// seed; set-up and the latest students' batch-of-one inference latency are
+// timed between the training stages (RunClock). Student
 // quality is the median over the students of the first kMinRounds rounds,
 // so it depends on the seed alone.
 #include <cmath>
@@ -37,13 +38,13 @@ using namespace dtdbd;
 // from swinging on a handful of samples.
 constexpr double kCorpusScale = 0.25;
 constexpr int kKernelThreads = 2;
-constexpr int kSetupRepeats = 9;
+constexpr int kSetupRepeats = 3;
 constexpr int kTeacherEpochs = 3;
 constexpr int kDistillEpochs = 5;
 constexpr int kMinRounds = 2;
-// Batch-of-one predictions timed per student per round; two students give
-// at least 1000 latency samples in every run.
-constexpr int kLatencySamplesPerStudent = 600;
+// Batch-of-one predictions timed per student at each point of a RunClock;
+// two rounds give at least 1000 latency samples.
+constexpr int kLatencyChunk = 150;
 const char* const kStudents[] = {"TextCNN-S", "BiGRU-S"};
 // Ops whose forward+backward time is reported per training step. These
 // dominate the self time of the pipeline's ops (see README).
@@ -63,30 +64,137 @@ struct Setup {
   double corpus_s = 0.0;
 };
 
-std::unique_ptr<Setup> BuildSetup(uint64_t seed, Tracer* tracer) {
+std::unique_ptr<Setup> BuildSetup(uint64_t seed) {
   auto setup = std::make_unique<Setup>();
-  {
-    Tracer::Span span(tracer, "data", "GenerateCorpus");
-    const int64_t start = NowNs();
-    setup->dataset = data::GenerateCorpus(data::Weibo21Config(kCorpusScale, seed));
-    setup->corpus_s = SecondsSince(start);
-  }
-  {
-    Tracer::Span span(tracer, "data", "StratifiedSplit");
-    Rng split_rng(seed * 7919 + 11);
-    setup->splits = data::StratifiedSplit(setup->dataset, 0.3, 0.05, &split_rng);
-  }
-  {
-    Tracer::Span span(tracer, "text", "FrozenEncoder");
-    setup->encoder = std::make_unique<text::FrozenEncoder>(
-        setup->dataset.vocab->size(), 32, seed + 21);
-  }
+  const int64_t start = NowNs();
+  setup->dataset = data::GenerateCorpus(data::Weibo21Config(kCorpusScale, seed));
+  setup->corpus_s = SecondsSince(start);
+  Rng split_rng(seed * 7919 + 11);
+  setup->splits = data::StratifiedSplit(setup->dataset, 0.3, 0.05, &split_rng);
+  setup->encoder = std::make_unique<text::FrozenEncoder>(
+      setup->dataset.vocab->size(), 32, seed + 21);
   setup->config.vocab_size = setup->dataset.vocab->size();
   setup->config.num_domains = setup->dataset.num_domains();
   setup->config.encoder = setup->encoder.get();
   setup->config.seed = seed + 5;
   return setup;
 }
+
+// Points spread over a run, after every training stage and every student,
+// at which set-up and the students' predictions are timed. One set-up takes
+// about 10 ms and a batch-of-one prediction a few hundred µs, while the
+// speed of the shared host the figures come from wanders by 20-30% over
+// seconds: repetitions back to back measure one moment of it.
+class RunClock {
+ public:
+  explicit RunClock(uint64_t seed) : seed_(seed) {}
+
+  // Makes `student`, trained on `setup`, the one timed for architecture
+  // `arch`; `p_fake` holds its batched predictions on the test split, which
+  // every timed answer must equal bit for bit.
+  void SetStudent(size_t arch, std::shared_ptr<const Setup> setup,
+                  std::unique_ptr<models::FakeNewsModel> student,
+                  std::vector<float> p_fake) {
+    serve::RequestLimits limits;
+    limits.vocab_size = setup->config.vocab_size;
+    limits.num_domains = setup->config.num_domains;
+    limits.seq_len = setup->splits.test.seq_len;
+    Student& s = students_[arch];
+    s.session = std::make_unique<serve::InferenceSession>(std::move(student),
+                                                          limits, 1);
+    s.setup = std::move(setup);
+    s.p_fake = std::move(p_fake);
+    s.next = 0;
+  }
+
+  // Times kSetupRepeats round-0 set-ups, then kLatencyChunk batch-of-one
+  // predictions of each architecture's latest student at 1 kernel thread,
+  // the way the serve workloads deploy a model (at batch 1 the pool's
+  // wake-ups cost more than they save and made the figure swing).
+  void Sample(RunResult* result) {
+    for (int i = 0; i < kSetupRepeats; ++i) {
+      const int64_t start = NowNs();
+      const std::unique_ptr<Setup> setup = BuildSetup(seed_);
+      setup_times_.push_back(SecondsSince(start));
+    }
+    const int threads = GetNumThreads();
+    SetNumThreads(1);
+    for (size_t a = 0; a < std::size(kStudents); ++a) {
+      Student& s = students_[a];
+      if (s.session == nullptr) continue;
+      const auto& test = s.setup->splits.test.samples;
+      std::vector<double>& chunk = s.chunks_ms.emplace_back();
+      for (int i = 0; i < kLatencyChunk; ++i, ++s.next) {
+        const size_t k = s.next % test.size();
+        serve::InferenceRequest request;
+        request.tokens = test[k].tokens;
+        request.domain = test[k].domain;
+        request.style = test[k].style;
+        request.emotion = test[k].emotion;
+        const int64_t start = NowNs();
+        const StatusOr<serve::Prediction> got = s.session->Predict(request);
+        chunk.push_back(static_cast<double>(NowNs() - start) / 1e6);
+        ++result->attempted;
+        if (!got.ok()) {
+          ++result->failed;
+          result->op_errors.push_back(std::string("student predict ") +
+                                      kStudents[a] + ": " +
+                                      got.status().ToString());
+          continue;
+        }
+        result->Check(
+            std::memcmp(&got.value().p_fake, &s.p_fake[k], sizeof(float)) == 0,
+            std::string(kStudents[a]) +
+                ": session p_fake differs from the batched one");
+      }
+    }
+    SetNumThreads(threads);
+  }
+
+  double setup_s() const { return Median(setup_times_); }
+  int64_t setup_samples() const {
+    return static_cast<int64_t>(setup_times_.size());
+  }
+  // Latency quantile q of the students: per architecture, the median over
+  // points of each point's quantile, averaged over the architectures.
+  double StudentLatency(double q) const {
+    double sum = 0.0;
+    for (const Student& s : students_) {
+      std::vector<double> per_point;
+      for (const auto& chunk : s.chunks_ms) per_point.push_back(Quantile(chunk, q));
+      sum += Median(per_point);
+    }
+    return sum / std::size(kStudents);
+  }
+  // Quantile q over every timed prediction of every student.
+  double PooledLatency(double q) const {
+    std::vector<double> all;
+    for (const Student& s : students_) {
+      for (const auto& chunk : s.chunks_ms) all.insert(all.end(), chunk.begin(), chunk.end());
+    }
+    return Quantile(std::move(all), q);
+  }
+  int64_t latency_samples() const {
+    int64_t n = 0;
+    for (const Student& s : students_) {
+      for (const auto& chunk : s.chunks_ms) n += static_cast<int64_t>(chunk.size());
+    }
+    return n;
+  }
+
+ private:
+  struct Student {
+    std::shared_ptr<const Setup> setup;  // owns the encoder the model uses
+    std::unique_ptr<serve::InferenceSession> session;
+    std::vector<float> p_fake;
+    size_t next = 0;  // next test sample to request
+    std::vector<std::vector<double>> chunks_ms;
+  };
+
+  const uint64_t seed_;
+  std::vector<double> setup_times_;
+  Student students_[std::size(kStudents)];
+};
 
 int64_t Batches(const data::NewsDataset& dataset, int64_t batch_size) {
   return (dataset.size() + batch_size - 1) / batch_size;
@@ -130,7 +238,6 @@ struct RoundStats {
   int64_t steps = 0;
   int64_t operations = 0;
   int64_t failed = 0;
-  std::vector<std::vector<double>> latency_ms;  // per student
   std::vector<double> f1;    // per student
   std::vector<double> bias;  // FNED+FPED per student
   // Op counters accumulated over the training calls only (zero unless op
@@ -154,8 +261,9 @@ bool Stage(const Status& status, const std::string& what, RoundStats* stats,
   return false;
 }
 
-RoundStats RunRound(const Setup& setup, uint64_t seed, Tracer* tracer,
-                    RunResult* result) {
+RoundStats RunRound(const std::shared_ptr<const Setup>& setup_ptr,
+                    uint64_t seed, RunClock* clock, RunResult* result) {
+  const Setup& setup = *setup_ptr;
   RoundStats stats;
   const data::NewsDataset& train = setup.splits.train;
   const data::NewsDataset& val = setup.splits.val;
@@ -168,7 +276,6 @@ RoundStats RunRound(const Setup& setup, uint64_t seed, Tracer* tracer,
   // Clean teacher: fine-tuned MDFEND, shared by both students.
   auto clean = models::CreateModel("MDFEND", setup.config);
   {
-    Tracer::Span span(tracer, "dtdbd", "TrainSupervised:MDFEND");
     const auto ops = tensor::GetOpStats();
     const int64_t start = NowNs();
     const TrainResult r = TrainSupervised(clean.get(), train, &val, topts);
@@ -178,6 +285,7 @@ RoundStats RunRound(const Setup& setup, uint64_t seed, Tracer* tracer,
     result->Check(AllFinite(r.train_loss_per_epoch),
                   "clean teacher loss not finite");
   }
+  clock->Sample(result);
   stats.clean_samples += topts.epochs * train.size();
   stats.steps += topts.epochs * Batches(train, topts.batch_size);
 
@@ -188,8 +296,8 @@ RoundStats RunRound(const Setup& setup, uint64_t seed, Tracer* tracer,
   }
   const double majority_f1 = MajorityMacroF1(labels);
 
-  for (const char* arch : kStudents) {
-    const std::string name = arch;
+  for (size_t a = 0; a < std::size(kStudents); ++a) {
+    const std::string name = kStudents[a];
     DatIeOptions dat;
     dat.train = topts;
     dat.alpha = 2.5f;
@@ -197,7 +305,6 @@ RoundStats RunRound(const Setup& setup, uint64_t seed, Tracer* tracer,
     teacher_config.adversarial_lambda = 1.5f;
     std::unique_ptr<DatWrapper> teacher;
     {
-      Tracer::Span span(tracer, "dtdbd", "TrainUnbiasedTeacher");
       const auto ops = tensor::GetOpStats();
       const int64_t start = NowNs();
       teacher = TrainUnbiasedTeacher(name, teacher_config, train, nullptr, dat);
@@ -205,6 +312,7 @@ RoundStats RunRound(const Setup& setup, uint64_t seed, Tracer* tracer,
       AddOps(ops, &stats.train_ops);
       Stage(Status::Ok(), "DAT-IE teacher", &stats, result);
     }
+    clock->Sample(result);
     stats.dat_samples += dat.train.epochs * train.size();
     stats.steps += dat.train.epochs * Batches(train, dat.train.batch_size);
 
@@ -218,7 +326,6 @@ RoundStats RunRound(const Setup& setup, uint64_t seed, Tracer* tracer,
     dopts.seed = seed + 99;
     DtdbdResult dr;
     {
-      Tracer::Span span(tracer, "dtdbd", "TrainDtdbd");
       const auto ops = tensor::GetOpStats();
       const int64_t start = NowNs();
       dr = TrainDtdbd(student.get(), teacher.get(), clean.get(), train, val,
@@ -255,14 +362,9 @@ RoundStats RunRound(const Setup& setup, uint64_t seed, Tracer* tracer,
     result->Check(unchanged, name + ": TrainDtdbd changed a teacher parameter");
 
     // Test-split evaluation, recomputed here from the raw predictions.
-    std::vector<int> preds;
-    std::vector<float> p_fake;
-    {
-      Tracer::Span span(tracer, "dtdbd", "Predict");
-      preds = Predict(student.get(), test);
-      p_fake = PredictFakeProbability(student.get(), test);
-      Stage(Status::Ok(), "evaluate " + name, &stats, result);
-    }
+    const std::vector<int> preds = Predict(student.get(), test);
+    std::vector<float> p_fake = PredictFakeProbability(student.get(), test);
+    Stage(Status::Ok(), "evaluate " + name, &stats, result);
     const metrics::EvalReport report =
         metrics::Evaluate(preds, labels, domains, test.num_domains());
     const Quality quality =
@@ -279,46 +381,18 @@ RoundStats RunRound(const Setup& setup, uint64_t seed, Tracer* tracer,
     stats.f1.push_back(quality.macro_f1);
     stats.bias.push_back(quality.bias());
 
-    // Batch-of-one serving latency of the distilled student; every answer
-    // must equal the batched evaluator's bit for bit. Timed at 1 kernel
-    // thread, the way the serve workloads deploy a model: at batch 1 the
-    // pool's wake-ups cost more than they save and made the figure swing
-    // between runs.
-    const int train_threads = GetNumThreads();
-    SetNumThreads(1);
-    serve::RequestLimits limits;
-    limits.vocab_size = setup.config.vocab_size;
-    limits.num_domains = setup.config.num_domains;
-    limits.seq_len = test.seq_len;
-    serve::InferenceSession session(std::move(student), limits, 1);
-    Tracer::Span span(tracer, "serve", "InferenceSession::Predict");
-    std::vector<double>& latency_ms = stats.latency_ms.emplace_back();
-    for (int i = 0; i < kLatencySamplesPerStudent; ++i) {
-      const data::NewsSample& s = test.samples[static_cast<size_t>(i) %
-                                               test.samples.size()];
-      serve::InferenceRequest request;
-      request.tokens = s.tokens;
-      request.domain = s.domain;
-      request.style = s.style;
-      request.emotion = s.emotion;
-      const int64_t start = NowNs();
-      const StatusOr<serve::Prediction> got = session.Predict(request);
-      latency_ms.push_back(static_cast<double>(NowNs() - start) / 1e6);
-      if (!Stage(got.status(), "student predict " + name, &stats, result)) {
-        continue;
-      }
-      const float want = p_fake[static_cast<size_t>(i) % p_fake.size()];
-      result->Check(std::memcmp(&got.value().p_fake, &want, sizeof(float)) == 0,
-                    name + ": session p_fake differs from the batched one");
-    }
-    SetNumThreads(train_threads);
-    stats.student_p_fake.push_back(std::move(p_fake));
+    stats.student_p_fake.push_back(p_fake);
+    clock->SetStudent(a, setup_ptr, std::move(student), std::move(p_fake));
+    clock->Sample(result);
   }
   return stats;
 }
 
 struct PassStats {
   double setup_s = 0.0;
+  int64_t setup_samples = 0;
+  double latency_p50_ms = 0.0, latency_p90_ms = 0.0, latency_p99_ms = 0.0;
+  int64_t latency_samples = 0;
   std::vector<RoundStats> rounds;
   double train_samples_per_s() const {
     double s = 0.0;
@@ -331,48 +405,30 @@ struct PassStats {
   }
 };
 
-// Batch-of-one latency quantile q of the students: per architecture, the
-// median over rounds (the lower of two) of each round's quantile, averaged
-// over the architectures. Host noise during one round's predictions then
-// moves one value instead of the run's figure.
-double StudentLatency(const std::vector<RoundStats>& rounds, double q) {
-  double sum = 0.0;
-  for (size_t a = 0; a < std::size(kStudents); ++a) {
-    std::vector<double> per_round;
-    for (const RoundStats& r : rounds) {
-      per_round.push_back(Quantile(r.latency_ms[a], q));
-    }
-    sum += Median(per_round);
-  }
-  return sum / std::size(kStudents);
-}
-
-// Sets up round 0 kSetupRepeats times (setup_s is their median), then runs
-// rounds until `seconds` have elapsed and at least `min_rounds` ran. Later
-// rounds build their own corpus outside the timed training calls.
+// Runs rounds until `seconds` have elapsed and at least `min_rounds` ran,
+// timing set-up and the students' predictions at the start and between the
+// rounds' stages (RunClock). Later rounds build their own corpus outside
+// the timed training calls. `setup_out` receives round 0's set-up.
 PassStats RunPass(uint64_t seed, double seconds, int min_rounds,
-                  Tracer* tracer, RunResult* result,
-                  std::unique_ptr<Setup>* setup_out) {
+                  RunResult* result,
+                  std::shared_ptr<const Setup>* setup_out) {
   PassStats pass;
-  std::vector<double> setup_times;
-  std::unique_ptr<Setup> setup;
-  for (int i = 0; i < kSetupRepeats; ++i) {
-    const int64_t start = NowNs();
-    setup = BuildSetup(RoundSeed(seed, 0), tracer);
-    setup_times.push_back(SecondsSince(start));
-  }
-  pass.setup_s = Median(setup_times);
+  RunClock clock(RoundSeed(seed, 0));
+  clock.Sample(result);
   const int64_t start = NowNs();
   for (int round = 0; round < min_rounds || SecondsSince(start) < seconds;
        ++round) {
     const uint64_t round_seed = RoundSeed(seed, round);
-    if (round > 0) setup = BuildSetup(round_seed, tracer);
-    pass.rounds.push_back(RunRound(*setup, round_seed, tracer, result));
-    if (round == 0 && setup_out != nullptr) {
-      *setup_out = std::move(setup);
-      setup = nullptr;
-    }
+    const std::shared_ptr<const Setup> setup = BuildSetup(round_seed);
+    if (round == 0 && setup_out != nullptr) *setup_out = setup;
+    pass.rounds.push_back(RunRound(setup, round_seed, &clock, result));
   }
+  pass.setup_s = clock.setup_s();
+  pass.setup_samples = clock.setup_samples();
+  pass.latency_p50_ms = clock.StudentLatency(0.50);
+  pass.latency_p90_ms = clock.StudentLatency(0.90);
+  pass.latency_p99_ms = clock.PooledLatency(0.99);
+  pass.latency_samples = clock.latency_samples();
   return pass;
 }
 
@@ -416,10 +472,9 @@ void Count(const PassStats& pass, RunResult* result) {
 RunResult RunDistill(const RunOptions& options) {
   RunResult result;
   SetNumThreads(kKernelThreads);
-  Tracer off(false);
-  std::unique_ptr<Setup> setup;
+  std::shared_ptr<const Setup> setup;
   const PassStats pass =
-      RunPass(options.seed, options.seconds, kMinRounds, &off, &result, &setup);
+      RunPass(options.seed, options.seconds, kMinRounds, &result, &setup);
   Count(pass, &result);
 
   const RoundStats& first = pass.rounds.front();
@@ -434,10 +489,8 @@ RunResult RunDistill(const RunOptions& options) {
   result.AddEndToEnd("setup_s", pass.setup_s, "s");
   result.AddEndToEnd("peak_rss_mb", PeakRssMb(), "MiB");
   result.AddEndToEnd("throughput_per_s", pass.train_samples_per_s(), "1/s");
-  result.AddEndToEnd("latency_p50_ms", StudentLatency(pass.rounds, 0.50),
-                     "ms");
-  result.AddEndToEnd("latency_p90_ms", StudentLatency(pass.rounds, 0.90),
-                     "ms");
+  result.AddEndToEnd("latency_p50_ms", pass.latency_p50_ms, "ms");
+  result.AddEndToEnd("latency_p90_ms", pass.latency_p90_ms, "ms");
 
   JsonObject inputs;
   inputs.Add("corpus", "Weibo21Config")
@@ -447,8 +500,9 @@ RunResult RunDistill(const RunOptions& options) {
       .Add("val", setup->splits.val.size())
       .Add("test", setup->splits.test.size())
       .Add("rounds", static_cast<int64_t>(pass.rounds.size()))
-      .Add("latency_samples_per_student_round", kLatencySamplesPerStudent)
-      .Add("latency_p99_ms", StudentLatency(pass.rounds, 0.99));
+      .Add("setup_samples", pass.setup_samples)
+      .Add("latency_samples", pass.latency_samples)
+      .Add("latency_p99_ms", pass.latency_p99_ms);
   JsonObject quality;
   quality.Add("student_f1", f1).Add("student_bias", bias);
   result.details.Add("inputs", inputs).Add("students", quality);
@@ -457,7 +511,7 @@ RunResult RunDistill(const RunOptions& options) {
   // Traced run. Pass B: one round at 1 kernel thread, untraced, for the
   // thread-count contract and the parallel-speedup base.
   SetNumThreads(1);
-  const PassStats one = RunPass(options.seed, 0.0, 1, &off, &result, nullptr);
+  const PassStats one = RunPass(options.seed, 0.0, 1, &result, nullptr);
   Count(one, &result);
   bool same = one.rounds[0].student_p_fake.size() == first.student_p_fake.size();
   for (size_t i = 0; same && i < first.student_p_fake.size(); ++i) {
@@ -467,15 +521,14 @@ RunResult RunDistill(const RunOptions& options) {
                          std::to_string(kKernelThreads) + " kernel threads");
 
   // Pass C: one traced round at the workload's thread count, with op
-  // profiling on and spans around every call into a layer.
+  // profiling on.
   SetNumThreads(kKernelThreads);
-  Tracer tracer(true);
   const double rss_before = PeakRssMb();
   tensor::ResetOpStats();
   tensor::SetOpProfiling(true);
-  std::unique_ptr<Setup> traced_setup;
-  const PassStats traced = RunPass(options.seed, 0.0, 1, &tracer, &result,
-                                   &traced_setup);
+  std::shared_ptr<const Setup> traced_setup;
+  const PassStats traced =
+      RunPass(options.seed, 0.0, 1, &result, &traced_setup);
   tensor::SetOpProfiling(false);
   Count(traced, &result);
   const RoundStats& t = traced.rounds[0];
@@ -491,7 +544,6 @@ RunResult RunDistill(const RunOptions& options) {
   // FrozenEncoder::Encode at the training batch shape.
   double encode_us = 0.0;
   {
-    Tracer::Span span(&tracer, "text", "FrozenEncoder::Encode");
     data::DataLoader loader(&traced_setup->splits.train, 32, false, 0);
     const int64_t start = NowNs();
     for (int64_t b = 0; b < loader.num_batches(); ++b) {
@@ -530,18 +582,17 @@ RunResult RunDistill(const RunOptions& options) {
   result.AddLayer("thread_pool.train_samples_per_s_1t", rate_1t, "1/s");
   result.AddLayer("thread_pool.train_samples_per_s_2t", rate_2t, "1/s");
 
-  // Tracing overhead: traced round minus the untraced first round.
+  // Tracing overhead, as a cost: the traced round minus the untraced first
+  // round, and for throughput the untraced minus the traced rate.
   result.AddLayer("overhead.setup_s", traced.setup_s - pass.setup_s, "s");
   result.AddLayer("overhead.peak_rss_mb", PeakRssMb() - rss_before, "MiB");
   result.AddLayer("overhead.throughput_per_s",
-                  t.train_samples() / t.train_s() - rate_2t, "1/s");
-  for (const auto& [name, q] : {std::pair{"latency_p50_ms", 0.50},
-                                std::pair{"latency_p90_ms", 0.90}}) {
-    result.AddLayer(std::string("overhead.") + name,
-                    StudentLatency({t}, q) - StudentLatency({first}, q), "ms");
-  }
+                  rate_2t - t.train_samples() / t.train_s(), "1/s");
+  result.AddLayer("overhead.latency_p50_ms",
+                  traced.latency_p50_ms - pass.latency_p50_ms, "ms");
+  result.AddLayer("overhead.latency_p90_ms",
+                  traced.latency_p90_ms - pass.latency_p90_ms, "ms");
 
-  result.details.Add("span_layers", tracer.LayerJson());
   const Quality plain =
       PlainStudents(*traced_setup, RoundSeed(options.seed, 0));
   JsonObject compare;
@@ -551,7 +602,6 @@ RunResult RunDistill(const RunOptions& options) {
       .Add("dtdbd_student_bias", Median(t.bias));
   result.details.Add("plain_vs_dtdbd", compare);
   result.details.Add("op_stats", tensor::FormatOpStats());
-  if (!options.trace_path.empty()) tracer.WriteJson(options.trace_path);
   return result;
 }
 

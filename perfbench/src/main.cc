@@ -1,7 +1,7 @@
 // dtdbd_perfbench: runs one benchmark workload and prints its result.
 //
 //   dtdbd_perfbench --workload distill|serve_zoo|serve_zipf --seed N
-//                   --seconds S --trace 0|1 [--trace-out PATH]
+//                   --seconds S --trace 0|1
 //
 // Standard output carries a `details` JSON line (host fingerprint, inputs,
 // oracle failures, per-workload extras) and, as its last line, the result
@@ -113,7 +113,7 @@ bool Collect(const std::vector<std::pair<std::string, std::string>>& declared,
 int Usage() {
   std::fprintf(stderr,
                "usage: dtdbd_perfbench --workload distill|serve_zoo|serve_zipf"
-               " --seed N --seconds S --trace 0|1 [--trace-out PATH]\n");
+               " --seed N --seconds S --trace 0|1\n");
   return 2;
 }
 
@@ -140,7 +140,6 @@ int main(int argc, char** argv) {
   if (*end != '\0' || !(options.seconds > 0.0)) return Usage();
   if (args["trace"] != "0" && args["trace"] != "1") return Usage();
   options.trace = args["trace"] == "1";
-  options.trace_path = args.count("trace-out") ? args["trace-out"] : "";
 
   const std::string workload = args["workload"];
   RunResult result;

@@ -21,12 +21,13 @@
 // trained on a corpus with a fixed seed, once per run and before set-up is
 // timed. The run's seed draws the traffic (which test samples and models,
 // the zipf hot set and trace). Set-up (corpus, encoder, models holding the
-// trained weights, server, socket, warm-up) is repeated and its median
-// reported. Every answer is checked against PredictFakeProbability of the
-// trained model on the same content.
+// trained weights, server, socket, warm-up) is timed before the load and
+// between its segments (SetupClock), and its median reported. Every answer
+// is checked against PredictFakeProbability of the trained model on the
+// same content.
 //
 // Throughput and latency percentiles are computed per one-second window of
-// the run and reported as the median over windows, so a burst of host
+// the load and reported as the median over windows, so a burst of host
 // noise moves one window rather than the run's figures.
 #include <algorithm>
 #include <atomic>
@@ -67,9 +68,12 @@ using namespace dtdbd;
 constexpr double kCorpusScale = 0.5;
 constexpr uint64_t kFleetSeed = 2024;
 constexpr int kTrainEpochs = 3;
-constexpr int kSetupRepeats = 9;
+constexpr int kSetupRepeats = 2;
 constexpr int kWarmupPerModel = 4;
 constexpr double kWindowSeconds = 1.0;
+// The load runs in segments of about this length; set-up is timed between
+// them.
+constexpr double kSegmentSeconds = 2.0;
 const char* const kZooFleet[] = {"MDFEND", "BiGRU", "MoSE", "BERT"};
 // Per-model cache budget for serve_zoo: full after the first seconds, so
 // the run's memory stops growing and inserts evict from then on.
@@ -226,26 +230,15 @@ struct Fleet {
   }
 };
 
-void BuildCorpus(Tracer* tracer, Fleet* fleet) {
+void BuildCorpus(Fleet* fleet) {
   const uint64_t seed = kFleetSeed;
-  {
-    Tracer::Span span(tracer, "data", "GenerateCorpus");
-    const int64_t start = NowNs();
-    fleet->dataset =
-        data::GenerateCorpus(data::Weibo21Config(kCorpusScale, seed));
-    fleet->corpus_s = SecondsSince(start);
-  }
-  {
-    Tracer::Span span(tracer, "data", "StratifiedSplit");
-    Rng split_rng(seed * 7919 + 11);
-    fleet->splits =
-        data::StratifiedSplit(fleet->dataset, 0.4, 0.05, &split_rng);
-  }
-  {
-    Tracer::Span span(tracer, "text", "FrozenEncoder");
-    fleet->encoder = std::make_unique<text::FrozenEncoder>(
-        fleet->dataset.vocab->size(), 32, seed + 21);
-  }
+  const int64_t start = NowNs();
+  fleet->dataset = data::GenerateCorpus(data::Weibo21Config(kCorpusScale, seed));
+  fleet->corpus_s = SecondsSince(start);
+  Rng split_rng(seed * 7919 + 11);
+  fleet->splits = data::StratifiedSplit(fleet->dataset, 0.4, 0.05, &split_rng);
+  fleet->encoder = std::make_unique<text::FrozenEncoder>(
+      fleet->dataset.vocab->size(), 32, seed + 21);
   fleet->config.vocab_size = fleet->dataset.vocab->size();
   fleet->config.num_domains = fleet->dataset.num_domains();
   fleet->config.encoder = fleet->encoder.get();
@@ -277,13 +270,8 @@ struct Stack {
   std::unique_ptr<net::SocketServer> net;
 };
 
-serve::HealthReport Health(const Stack& stack, Tracer* tracer) {
-  Tracer::Span span(tracer, "serve", "Server::Health");
-  return stack.server->Health();
-}
-
 Status BuildStack(const Fleet& fleet, const Fleet& weights,
-                  int64_t cache_bytes, Tracer* tracer, Stack* stack) {
+                  int64_t cache_bytes, Stack* stack) {
   serve::ServerOptions options;
   options.num_workers = 1;
   options.max_batch = 1;
@@ -291,26 +279,21 @@ Status BuildStack(const Fleet& fleet, const Fleet& weights,
   options.watchdog_period_nanos = 0;
   options.cache_bytes = cache_bytes;
   options.default_model_name = fleet.names[0];
-  {
-    Tracer::Span span(tracer, "serve", "Server");
-    stack->server = std::make_unique<serve::Server>(
-        std::make_unique<serve::InferenceSession>(fleet.Copy(weights, 0),
-                                                  fleet.limits,
-                                                  1),
-        std::move(options));
-    for (size_t m = 1; m < fleet.names.size(); ++m) {
-      const Status added = stack->server->AddModel(
-          fleet.names[m], std::make_unique<serve::InferenceSession>(
-                              fleet.Copy(weights, m), fleet.limits, 1));
-      if (!added.ok()) return added;
-    }
+  stack->server = std::make_unique<serve::Server>(
+      std::make_unique<serve::InferenceSession>(fleet.Copy(weights, 0),
+                                                fleet.limits, 1),
+      std::move(options));
+  for (size_t m = 1; m < fleet.names.size(); ++m) {
+    const Status added = stack->server->AddModel(
+        fleet.names[m], std::make_unique<serve::InferenceSession>(
+                            fleet.Copy(weights, m), fleet.limits, 1));
+    if (!added.ok()) return added;
   }
   net::SocketServerOptions net_options;
   net_options.max_connections = 4;
   net_options.max_inflight_per_connection = 1 << 16;
   net_options.idle_timeout_ms = 120'000;
   net_options.max_outbox_bytes = 64u << 20;
-  Tracer::Span span(tracer, "net", "SocketServer::Start");
   stack->net = std::make_unique<net::SocketServer>(stack->server.get(),
                                                    net_options);
   return stack->net->Start();
@@ -343,36 +326,72 @@ std::unique_ptr<Fleet> TrainedFleet(const std::vector<std::string>& names,
                                     RunResult* result) {
   auto fleet = std::make_unique<Fleet>();
   fleet->names = names;
-  BuildCorpus(nullptr, fleet.get());
+  BuildCorpus(fleet.get());
   result->details.Add("train_s", TrainFleet(fleet.get()));
   return fleet;
 }
 
-// Set-up, repeated `repeats` times: corpus, split and encoder, then models
-// holding the trained weights, server, socket and warm-up. Returns the
-// median; `fleet` and `stack` keep the last repetition.
-double SetUp(const Fleet& weights, int64_t cache_bytes, Tracer* tracer,
-             int repeats, std::unique_ptr<Fleet>* fleet, Stack* stack,
+void Shutdown(Stack* stack) {
+  if (stack->net != nullptr) stack->net->Stop();
+  if (stack->server != nullptr) stack->server->Stop();
+}
+
+// What one set-up builds: a fleet and the server stack over it. The
+// stack's models use the fleet's encoder, so the stack is destroyed first.
+struct Deployment {
+  std::unique_ptr<Fleet> fleet;
+  Stack stack;
+};
+
+// One set-up, counted as one operation: corpus, split and encoder, then
+// models holding the trained weights, server, socket and warm-up. Returns
+// its seconds.
+double SetUp(const Fleet& weights, int64_t cache_bytes, Deployment* out,
              RunResult* result) {
-  std::vector<double> times;
-  for (int rep = 0; rep < repeats; ++rep) {
-    *stack = Stack();
-    fleet->reset();
-    const int64_t start = NowNs();
-    *fleet = std::make_unique<Fleet>();
-    (*fleet)->names = weights.names;
-    BuildCorpus(tracer, fleet->get());
-    Status status = BuildStack(**fleet, weights, cache_bytes, tracer, stack);
-    if (status.ok()) status = WarmUp(**fleet, stack);
-    times.push_back(SecondsSince(start));
-    ++result->attempted;
-    if (!status.ok()) {
-      ++result->failed;
-      result->op_errors.push_back("set-up: " + status.ToString());
+  const int64_t start = NowNs();
+  out->fleet = std::make_unique<Fleet>();
+  out->fleet->names = weights.names;
+  BuildCorpus(out->fleet.get());
+  Status status = BuildStack(*out->fleet, weights, cache_bytes, &out->stack);
+  if (status.ok()) status = WarmUp(*out->fleet, &out->stack);
+  const double seconds = SecondsSince(start);
+  ++result->attempted;
+  if (!status.ok()) {
+    ++result->failed;
+    result->op_errors.push_back("set-up: " + status.ToString());
+  }
+  return seconds;
+}
+
+// Set-up time. One set-up takes 30-60 ms, and the speed of the shared host
+// the figures come from wanders by 20-30% over seconds, so set-ups timed
+// back to back measure one moment of it. Instead set-up is timed before
+// the load and kSetupRepeats times between its segments, each time on a
+// throwaway deployment while the load's clients wait, and setup_s is the
+// median of all of them.
+class SetupClock {
+ public:
+  SetupClock(const Fleet& weights, int64_t cache_bytes, RunResult* result)
+      : weights_(weights), cache_bytes_(cache_bytes), result_(result) {}
+  // Sets up `out`, timed.
+  void SetUpFor(Deployment* out) {
+    times_.push_back(SetUp(weights_, cache_bytes_, out, result_));
+  }
+  void Sample() {
+    for (int i = 0; i < kSetupRepeats; ++i) {
+      Deployment throwaway;
+      SetUpFor(&throwaway);
     }
   }
-  return Median(times);
-}
+  double median() const { return Median(times_); }
+  int64_t samples() const { return static_cast<int64_t>(times_.size()); }
+
+ private:
+  const Fleet& weights_;
+  const int64_t cache_bytes_;
+  RunResult* const result_;
+  std::vector<double> times_;
+};
 
 // Deltas of the serving counters over a load phase.
 struct ServeCounters {
@@ -451,20 +470,18 @@ serve::InferenceRequest Content(const Fleet& fleet, const KeyPlan& plan) {
 
 // What a load phase measured. Latencies go into fixed-size histograms,
 // one per window, so the benchmark's own memory does not grow with the
-// number of requests. Per key: the label and p_fake first answered.
+// number of requests; `windows` holds the whole windows of every segment
+// in order. Per key: the label and p_fake first answered.
 struct LoadStats {
-  LoadStats(double seconds, size_t keys)
-      : windows(static_cast<size_t>(std::ceil(seconds / kWindowSeconds)) + 1),
-        key_label(keys, -1),
-        key_p_fake(keys, 0.0f) {}
+  explicit LoadStats(size_t keys) : key_label(keys, -1), key_p_fake(keys, 0.0f) {}
 
   void Record(double done_s, double latency_ms) {
     const auto w = static_cast<size_t>(done_s / kWindowSeconds);
     if (w < windows.size()) windows[w].Add(latency_ms);
     all.Add(latency_ms);
   }
+  // Adds another client's answers and counts (not its windows).
   void Merge(const LoadStats& other) {
-    for (size_t w = 0; w < windows.size(); ++w) windows[w].Merge(other.windows[w]);
     all.Merge(other.all);
     for (size_t k = 0; k < key_label.size(); ++k) {
       if (key_label[k] < 0 && other.key_label[k] >= 0) {
@@ -559,19 +576,25 @@ void CheckReferences(const Fleet& weights, const Traffic& traffic,
   }
 }
 
-// The closed loop: `clients` threads, each on its own connection with
-// `in_flight` requests outstanding, draw request i = next() of `traffic`
-// until `seconds` have passed; a new request is sent only when an answer
-// arrives. Stats start from `seed_stats` (the answers already recorded).
-LoadStats RunLoad(const Fleet& fleet, const Traffic& traffic, int clients,
-                  int in_flight, double seconds, const LoadStats& seed_stats,
-                  Stack* stack, Tracer* tracer, RunResult* result) {
-  LoadStats stats = seed_stats;
-  const ServeCounters before = ServeCounters::From(Health(*stack, tracer));
-  std::atomic<int64_t> next{0};
-  std::vector<LoadStats> partial(static_cast<size_t>(clients), seed_stats);
+// One segment of the closed loop: `clients` threads, each on its own
+// connection with `in_flight` requests outstanding, send requests
+// *next_index, *next_index + 1, ... of `traffic` until `seconds` have
+// passed and their answers are in; a new request is sent only when an
+// answer arrives. Adds the segment's answers and whole windows to `stats`.
+void RunLoad(const Fleet& fleet, const Traffic& traffic, int clients,
+             int in_flight, double seconds, int64_t* next_index,
+             LoadStats* stats, Stack* stack, RunResult* result) {
+  std::atomic<int64_t> next{*next_index};
+  const size_t windows =
+      static_cast<size_t>(std::ceil(seconds / kWindowSeconds)) + 1;
+  std::vector<LoadStats> partial(static_cast<size_t>(clients),
+                                 LoadStats(traffic.keys.size()));
+  for (LoadStats& p : partial) {
+    p.key_label = stats->key_label;
+    p.key_p_fake = stats->key_p_fake;
+    p.windows.resize(windows);
+  }
   std::vector<RunResult> checks(static_cast<size_t>(clients));
-  Tracer::Span span(tracer, "net", "closed loop");
   const int64_t start = NowNs();
   const int64_t stop = start + static_cast<int64_t>(seconds * 1e9);
   std::vector<std::thread> threads;
@@ -634,13 +657,20 @@ LoadStats RunLoad(const Fleet& fleet, const Traffic& traffic, int clients,
     });
   }
   for (std::thread& t : threads) t.join();
-  stats.elapsed_s = SecondsSince(start);
+  const double elapsed_s = SecondsSince(start);
+  *next_index = std::min(next.load(), traffic.size());
+  const size_t whole = std::clamp<size_t>(
+      static_cast<size_t>(elapsed_s / kWindowSeconds), 1, windows);
+  for (size_t w = 0; w < whole; ++w) {
+    LatencyHistogram window;
+    for (const LoadStats& p : partial) window.Merge(p.windows[w]);
+    stats->windows.push_back(std::move(window));
+  }
+  stats->elapsed_s += elapsed_s;
   for (int c = 0; c < clients; ++c) {
-    stats.Merge(partial[static_cast<size_t>(c)]);
+    stats->Merge(partial[static_cast<size_t>(c)]);
     Merge(checks[static_cast<size_t>(c)], result);
   }
-  stats.counters = ServeCounters::From(Health(*stack, tracer)).Minus(before);
-  return stats;
 }
 
 // serve_zoo traffic: request i goes to a uniformly drawn fleet model and
@@ -771,17 +801,13 @@ struct Windowed {
 };
 
 Windowed WindowMedians(const LoadStats& stats) {
-  const size_t n = std::clamp<size_t>(
-      static_cast<size_t>(stats.elapsed_s / kWindowSeconds), 1,
-      stats.windows.size());
   Windowed w;
   std::vector<double> p50, p90, p99;
-  for (size_t i = 0; i < n; ++i) {
-    w.rates.push_back(static_cast<double>(stats.windows[i].count()) /
-                      kWindowSeconds);
-    p50.push_back(stats.windows[i].Quantile(0.50));
-    p90.push_back(stats.windows[i].Quantile(0.90));
-    p99.push_back(stats.windows[i].Quantile(0.99));
+  for (const LatencyHistogram& window : stats.windows) {
+    w.rates.push_back(static_cast<double>(window.count()) / kWindowSeconds);
+    p50.push_back(window.Quantile(0.50));
+    p90.push_back(window.Quantile(0.90));
+    p99.push_back(window.Quantile(0.99));
   }
   w.throughput_per_s = Median(w.rates);
   w.p50_ms = Median(p50);
@@ -815,36 +841,36 @@ void AddServeLayers(const LoadStats& stats, RunResult* result) {
                    "ratio");
 }
 
-// Tracing overhead: the traced phase's end-to-end values minus the
-// untraced ones; for peak_rss_mb, `rss_growth` of the process peak across
-// the probes and the traced phase.
+// Tracing overhead, as a cost: the traced phase's end-to-end values minus
+// the untraced ones, and for throughput the untraced minus the traced; for
+// peak_rss_mb, `rss_growth` of the process peak across the probes and the
+// traced phase.
 void AddOverhead(const std::vector<Metric>& untraced,
                  const std::vector<Metric>& traced, double rss_growth,
                  RunResult* result) {
   for (size_t i = 0; i < untraced.size() && i < traced.size(); ++i) {
-    const double delta = untraced[i].name == "peak_rss_mb"
-                             ? rss_growth
-                             : traced[i].value - untraced[i].value;
-    result->AddLayer("overhead." + untraced[i].name, delta, untraced[i].unit);
+    const std::string& name = untraced[i].name;
+    double delta = traced[i].value - untraced[i].value;
+    if (name == "peak_rss_mb") delta = rss_growth;
+    if (name == "throughput_per_s") delta = -delta;
+    result->AddLayer("overhead." + name, delta, untraced[i].unit);
   }
 }
+
 // Batch-of-one InferenceSession::Predict per fleet model: median time
 // with op profiling off, then graph counts per request with it on.
-void ProbeSessions(const Fleet& fleet, const Fleet& weights, Tracer* tracer,
+void ProbeSessions(const Fleet& fleet, const Fleet& weights,
                    RunResult* result) {
   const auto& test = fleet.splits.test.samples;
   for (size_t m = 0; m < fleet.names.size(); ++m) {
     serve::InferenceSession session(fleet.Copy(weights, m), fleet.limits, 1);
     std::vector<double> us;
-    {
-      Tracer::Span span(tracer, "serve", "InferenceSession::Predict");
-      for (int i = 0; i < kProbeRequests; ++i) {
-        const auto request = RequestFor(test[i % test.size()], "");
-        const int64_t start = NowNs();
-        const bool ok = session.Predict(request).ok();
-        us.push_back(static_cast<double>(NowNs() - start) / 1e3);
-        result->Check(ok, "probe predict failed");
-      }
+    for (int i = 0; i < kProbeRequests; ++i) {
+      const auto request = RequestFor(test[i % test.size()], "");
+      const int64_t start = NowNs();
+      const bool ok = session.Predict(request).ok();
+      us.push_back(static_cast<double>(NowNs() - start) / 1e3);
+      result->Check(ok, "probe predict failed");
     }
     tensor::ResetOpStats();
     tensor::SetOpProfiling(true);
@@ -862,7 +888,6 @@ void ProbeSessions(const Fleet& fleet, const Fleet& weights, Tracer* tracer,
                      static_cast<double>(total.bytes) / kProbeRequests, "B");
   }
   std::vector<double> us;
-  Tracer::Span span(tracer, "text", "FrozenEncoder::Encode");
   for (int i = 0; i < kProbeRequests; ++i) {
     const data::NewsSample& s = test[i % test.size()];
     const int64_t start = NowNs();
@@ -877,7 +902,7 @@ void ProbeSessions(const Fleet& fleet, const Fleet& weights, Tracer* tracer,
 // interleaved: the median of the per-request differences, in µs. The
 // in-process median goes to `submit_us`.
 double ProbeNet(Stack* stack, const std::vector<serve::InferenceRequest>& probe,
-                Tracer* tracer, RunResult* result, double* submit_us) {
+                RunResult* result, double* submit_us) {
   SpinClient client;
   if (!result->Check(client.Connect(stack->net->port()).ok(),
                      "net probe connect failed")) {
@@ -885,16 +910,12 @@ double ProbeNet(Stack* stack, const std::vector<serve::InferenceRequest>& probe,
   }
   std::vector<double> local, diff;
   for (size_t i = 0; i < probe.size(); ++i) {
-    {
-      Tracer::Span span(tracer, "serve", "Server::Submit");
-      const int64_t start = NowNs();
-      const bool ok = stack->server->Submit(probe[i]).get().ok();
-      local.push_back(static_cast<double>(NowNs() - start) / 1e3);
-      result->Check(ok, "in-process probe request failed");
-    }
-    Tracer::Span span(tracer, "net", "Client::Call");
+    int64_t start = NowNs();
+    const bool ok = stack->server->Submit(probe[i]).get().ok();
+    local.push_back(static_cast<double>(NowNs() - start) / 1e3);
+    result->Check(ok, "in-process probe request failed");
     net::WireResponse response;
-    const int64_t start = NowNs();
+    start = NowNs();
     const Status s = client.Call(i + 1, probe[i], &response);
     diff.push_back(static_cast<double>(NowNs() - start) / 1e3 - local.back());
     result->Check(s.ok() && response.code == net::WireCode::kOk,
@@ -932,43 +953,44 @@ std::vector<std::string> Names(bool zoo) {
   return std::vector<std::string>(std::begin(kZooFleet), std::end(kZooFleet));
 }
 
-void Shutdown(Stack* stack, Tracer* tracer) {
-  if (stack->net != nullptr) {
-    Tracer::Span span(tracer, "net", "SocketServer::Stop");
-    stack->net->Stop();
-  }
-  if (stack->server != nullptr) stack->server->Stop();
-}
-
 // Both serve workloads: train the fleet, set up, generate the traffic, run
 // the closed loop, check every answer and the cache counters, and report.
 RunResult RunServe(const RunOptions& options, bool zoo) {
   RunResult result;
   SetNumThreads(1);
-  Tracer off(false);
   const auto trained = TrainedFleet(Names(zoo), &result);
-  std::unique_ptr<Fleet> fleet;
-  Stack stack;
   const int64_t cache_bytes = zoo ? kZooCacheBytes : kZipfCacheBytes;
-  const double setup_s = SetUp(*trained, cache_bytes, &off, kSetupRepeats,
-                               &fleet, &stack, &result);
   const Traffic traffic =
-      zoo ? ZooTraffic(*fleet, options.seed,
+      zoo ? ZooTraffic(*trained, options.seed,
                        kZooMaxRate * static_cast<int64_t>(options.seconds + 1))
-          : ZipfTraffic(*fleet, options.seed);
+          : ZipfTraffic(*trained, options.seed);
   const int clients = zoo ? 1 : kZipfClients;
   const int in_flight = zoo ? kZooInFlight : kZipfInFlight;
 
-  // One measured phase on `s`: fill (zipf), load, and the oracles.
-  auto phase = [&](Stack* s, double seconds, Tracer* tracer) {
-    LoadStats seed_stats(seconds, traffic.keys.size());
+  // One measured phase: set-up of `d`, timed with others by a new clock
+  // (its median goes to `setup_s`); the cache fill (zipf); the load in
+  // segments with set-up timed between them; and the oracles.
+  auto phase = [&](Deployment* d, double seconds, double* setup_s) {
+    SetupClock clock(*trained, cache_bytes, &result);
+    clock.Sample();
+    clock.SetUpFor(d);
+    LoadStats stats(traffic.keys.size());
     const ServeCounters fill =
         zoo ? ServeCounters()
-            : FillCache(*fleet, traffic, s, &seed_stats, &result);
-    if (tracer->enabled()) tensor::SetOpProfiling(true);
-    LoadStats stats = RunLoad(*fleet, traffic, clients, in_flight, seconds,
-                              seed_stats, s, tracer, &result);
-    tensor::SetOpProfiling(false);
+            : FillCache(*d->fleet, traffic, &d->stack, &stats, &result);
+    const ServeCounters before =
+        ServeCounters::From(d->stack.server->Health());
+    const int segments =
+        std::max(1, static_cast<int>(std::lround(seconds / kSegmentSeconds)));
+    int64_t next_index = 0;
+    for (int i = 0; i < segments; ++i) {
+      if (i > 0) clock.Sample();
+      RunLoad(*d->fleet, traffic, clients, in_flight, seconds / segments,
+              &next_index, &stats, &d->stack, &result);
+    }
+    stats.counters =
+        ServeCounters::From(d->stack.server->Health()).Minus(before);
+    *setup_s = clock.median();
     result.attempted += stats.sent;
     result.failed += stats.sent - stats.ok;
     if (zoo) {
@@ -980,15 +1002,18 @@ RunResult RunServe(const RunOptions& options, bool zoo) {
     return stats;
   };
 
-  const LoadStats stats = phase(&stack, options.seconds, &off);
+  Deployment deployment;
+  double setup_s = 0.0;
+  const LoadStats stats = phase(&deployment, options.seconds, &setup_s);
+  const Fleet& fleet = *deployment.fleet;
   const Windowed windowed = WindowMedians(stats);
   AddEndToEnd(setup_s, windowed, &result);
-  const Quality quality = AnsweredQuality(*fleet, traffic, stats);
+  const Quality quality = AnsweredQuality(fleet, traffic, stats);
   JsonObject served;
   served.Add("macro_f1", quality.macro_f1).Add("bias", quality.bias());
   JsonObject inputs;
   inputs.Add("corpus_scale", kCorpusScale)
-      .Add("test_samples", fleet->splits.test.size())
+      .Add("test_samples", fleet.splits.test.size())
       .Add("clients", clients)
       .Add("in_flight_per_client", in_flight)
       .Add("cache_bytes_per_model", cache_bytes);
@@ -996,50 +1021,46 @@ RunResult RunServe(const RunOptions& options, bool zoo) {
   result.details.Add("inputs", inputs)
       .Add("served_labels", served)
       .Add("load", LoadDetails(stats, windowed));
-  if (!options.trace) {
-    Shutdown(&stack, &off);
-    return result;
-  }
+  if (!options.trace) return result;
 
   // Probes. serve_zipf measures socket against in-process on its warm
   // stack, where both are cache hits; serve_zoo on a cache-off stack, where
   // both run the forward.
-  Tracer tracer(true);
   const double rss_before = PeakRssMb();
   std::vector<serve::InferenceRequest> probe;
   for (int i = 0; i < kProbeRequests; ++i) {
     probe.push_back(
-        Content(*fleet, traffic.keys[static_cast<size_t>(traffic.Key(i))]));
+        Content(fleet, traffic.keys[static_cast<size_t>(traffic.Key(i))]));
   }
   double submit_us = 0.0;
+  Stack& stack = deployment.stack;
   if (zoo) {
-    Shutdown(&stack, &off);
+    Shutdown(&stack);
     stack = Stack();
-    result.Check(BuildStack(*fleet, *trained, 0, &tracer, &stack).ok(),
+    result.Check(BuildStack(fleet, *trained, 0, &stack).ok(),
                  "net probe stack failed to start");
   }
   result.AddLayer("net.overhead_us",
-                  ProbeNet(&stack, probe, &tracer, &result, &submit_us), "us");
+                  ProbeNet(&stack, probe, &result, &submit_us), "us");
   if (!zoo) result.AddLayer("serve.hit_us", submit_us, "us");
-  Shutdown(&stack, &tracer);
-  ProbeSessions(*fleet, *trained, &tracer, &result);
+  Shutdown(&stack);
+  ProbeSessions(fleet, *trained, &result);
 
-  // Traced phase: a fresh stack, half the run, op profiling on.
+  // Traced phase: a fresh deployment, half the run, op profiling on.
   RunResult traced;
-  Stack traced_stack;
-  const double traced_setup =
-      SetUp(*trained, cache_bytes, &tracer, 1, &fleet, &traced_stack, &result);
-  const LoadStats tstats = phase(&traced_stack, options.seconds / 2, &tracer);
-  Shutdown(&traced_stack, &tracer);
-  AddEndToEnd(traced_setup, WindowMedians(tstats), &traced);
+  Deployment traced_deployment;
+  double traced_setup_s = 0.0;
+  tensor::SetOpProfiling(true);
+  const LoadStats tstats =
+      phase(&traced_deployment, options.seconds / 2, &traced_setup_s);
+  tensor::SetOpProfiling(false);
+  AddEndToEnd(traced_setup_s, WindowMedians(tstats), &traced);
 
-  result.AddLayer("data.corpus_s", fleet->corpus_s, "s");
+  result.AddLayer("data.corpus_s", fleet.corpus_s, "s");
   AddServeLayers(stats, &result);
   AddOverhead(result.end_to_end, traced.end_to_end, PeakRssMb() - rss_before,
               &result);
-  result.details.Add("traced_load", LoadDetails(tstats, WindowMedians(tstats)))
-      .Add("span_layers", tracer.LayerJson());
-  if (!options.trace_path.empty()) tracer.WriteJson(options.trace_path);
+  result.details.Add("traced_load", LoadDetails(tstats, WindowMedians(tstats)));
   return result;
 }
 
