@@ -318,7 +318,6 @@ void SocketServer::AnswerHealthRequest(Connection* conn,
   health.served_ok = report.served_ok;
   health.queue_depth = report.queue_depth;
   health.quality_degraded = report.quality_degraded;
-  health.int8_active = report.int8_active;
   health.feedback_recorded = report.feedback_recorded;
   health.models.reserve(report.models.size());
   for (const serve::ModelHealth& m : report.models) {
@@ -340,8 +339,6 @@ void SocketServer::AnswerHealthRequest(Connection* conn,
     wm.quality_window_samples = m.quality.window_samples;
     wm.quality_auc = m.quality.auc;
     wm.bias_spread = m.quality.bias_spread;
-    wm.int8_active = m.int8_active;
-    wm.quantized_bytes = m.quantized_bytes;
     health.models.push_back(std::move(wm));
   }
   QueueResponse(conn, EncodeHealthResponseFrame(header.request_id, health,
@@ -573,16 +570,9 @@ void SocketServer::IoLoop() {
   bool listen_open = true;
   std::vector<epoll_event> events(64);
   for (;;) {
-    bool draining;
     {
       std::lock_guard<std::mutex> lock(state_mu_);
-      draining = draining_;
       if (stop_) break;
-    }
-    if (draining && listen_open) {
-      // close(2) removes the fd from the epoll interest set automatically.
-      CloseFd(&listen_fd_);
-      listen_open = false;
     }
 
     // Reconcile each connection's registered interest set with what its
@@ -615,6 +605,19 @@ void SocketServer::IoLoop() {
     if (ready < 0 && errno != EINTR) {
       DTDBD_LOG(Error) << "epoll_wait failed: " << std::strerror(errno);
       break;
+    }
+    // Read after the wait: Stop() sets draining_ and then wakes it, so the
+    // round it wakes must see the flag. Read before the wait, it would be
+    // stale, and the drain would finish only after a full epoll timeout.
+    bool draining;
+    {
+      std::lock_guard<std::mutex> lock(state_mu_);
+      draining = draining_;
+    }
+    if (draining && listen_open) {
+      // close(2) removes the fd from the epoll interest set automatically.
+      CloseFd(&listen_fd_);
+      listen_open = false;
     }
 
     if (ready > 0) {

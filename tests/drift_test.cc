@@ -917,16 +917,19 @@ TEST(DriftHealthFrameTest, QualityFieldsRoundTrip) {
   m.quality_window_samples = 17;
   m.quality_auc = 0.8125;
   m.bias_spread = 0.25;
-  m.int8_active = true;
-  m.quantized_bytes = 123456;
   health.models.push_back(m);
-  health.int8_active = true;
 
   const std::string frame = EncodeHealthResponseFrame(7, health);
+  const uint8_t* payload =
+      reinterpret_cast<const uint8_t*>(frame.data()) + kFrameHeaderSize;
+  const size_t payload_len = frame.size() - kFrameHeaderSize;
+  // 80-byte fixed part, then one 100-byte model record plus its name.
+  constexpr size_t kFixedBytes = 80;
+  EXPECT_EQ(payload_len, kFixedBytes + 100 + m.name.size());
+  EXPECT_EQ(payload[3], 0) << "top-level byte 3 is reserved";
   WireHealth decoded;
-  const Status status = DecodeHealthResponsePayload(
-      reinterpret_cast<const uint8_t*>(frame.data()) + kFrameHeaderSize,
-      frame.size() - kFrameHeaderSize, &decoded);
+  const Status status =
+      DecodeHealthResponsePayload(payload, payload_len, &decoded);
   ASSERT_TRUE(status.ok()) << status.ToString();
   EXPECT_TRUE(decoded.quality_degraded);
   EXPECT_EQ(decoded.feedback_recorded, 29);
@@ -938,17 +941,20 @@ TEST(DriftHealthFrameTest, QualityFieldsRoundTrip) {
   EXPECT_EQ(decoded.models[0].quality_window_samples, 17);
   EXPECT_DOUBLE_EQ(decoded.models[0].quality_auc, 0.8125);
   EXPECT_DOUBLE_EQ(decoded.models[0].bias_spread, 0.25);
-  EXPECT_TRUE(decoded.int8_active);
-  EXPECT_TRUE(decoded.models[0].int8_active);
-  EXPECT_EQ(decoded.models[0].quantized_bytes, 123456);
 
-  // Truncation inside the quality/int8 tail is a typed decode error, not a
+  // Truncation inside the quality tail is a typed decode error, not a
   // partial model record.
   WireHealth ignored;
-  EXPECT_EQ(DecodeHealthResponsePayload(
-                reinterpret_cast<const uint8_t*>(frame.data()) +
-                    kFrameHeaderSize,
-                frame.size() - kFrameHeaderSize - 8, &ignored)
+  EXPECT_EQ(
+      DecodeHealthResponsePayload(payload, payload_len - 8, &ignored).code(),
+      StatusCode::kInvalidArgument);
+
+  // A hostile fixed part claiming 2^32-1 models is rejected before the
+  // decoder reserves room for them.
+  std::vector<uint8_t> hostile(payload, payload + kFixedBytes);
+  hostile[4] = hostile[5] = hostile[6] = hostile[7] = 0xFF;
+  EXPECT_EQ(DecodeHealthResponsePayload(hostile.data(), hostile.size(),
+                                        &ignored)
                 .code(),
             StatusCode::kInvalidArgument);
 }

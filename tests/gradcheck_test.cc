@@ -1,6 +1,7 @@
 // Property-style finite-difference gradient checks over the op library,
 // parameterized so every differentiable op gets the same treatment.
 #include <functional>
+#include <ostream>
 #include <string>
 
 #include <gtest/gtest.h>
@@ -24,6 +25,11 @@ struct GradCase {
   // Keep inputs positive (for Log).
   bool positive_input = false;
 };
+
+// Print a case by name. Without this gtest dumps the raw bytes, which hold
+// heap pointers, into the discovered ctest name, so the name changed on
+// every build.
+void PrintTo(const GradCase& c, std::ostream* os) { *os << c.name; }
 
 // A fixed "other operand" so binary ops are exercised with non-trivial
 // partners.

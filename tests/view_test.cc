@@ -1,6 +1,6 @@
 // Tests for the shared-storage/view layer of the tensor substrate: zero-copy
 // aliasing, gradient flow through non-contiguous views, graph introspection,
-// and serialization of views (including legacy-format compatibility).
+// and serialization of views (including rejection of the legacy v1 format).
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -205,8 +205,9 @@ TEST(ViewTest, RestoreIntoWritesThroughViewParameter) {
 }
 
 // Writes a version-1 file (the pre-CRC layout used before checkpointing got
-// per-entry checksums) byte by byte and checks the loader still reads it.
-TEST(ViewTest, LegacyV1FilesStillLoad) {
+// per-entry checksums) byte by byte and checks the loader rejects it: only
+// v2, whose every entry carries a CRC, is readable.
+TEST(ViewTest, LegacyV1FilesRejected) {
   const std::string path = ::testing::TempDir() + "/legacy_v1.bin";
   std::FILE* f = std::fopen(path.c_str(), "wb");
   ASSERT_NE(f, nullptr);
@@ -229,10 +230,11 @@ TEST(ViewTest, LegacyV1FilesStillLoad) {
   std::fclose(f);
 
   auto loaded_or = LoadTensors(path);
-  ASSERT_TRUE(loaded_or.ok()) << loaded_or.status().message();
-  const Tensor& t = loaded_or.value().at("w");
-  EXPECT_EQ(t.shape(), (Shape{2, 2}));
-  EXPECT_EQ(t.ToVector(), std::vector<float>({1.5f, -2.5f, 3.5f, -4.5f}));
+  ASSERT_FALSE(loaded_or.ok());
+  EXPECT_EQ(loaded_or.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(loaded_or.status().message().find("unsupported version"),
+            std::string::npos)
+      << loaded_or.status().message();
   std::remove(path.c_str());
 }
 
