@@ -4,7 +4,10 @@
 // Default mode sweeps the hot kernels (MatMul, Conv1dSeq, Softmax,
 // EmbeddingGather) across --sweep-threads (default 1,2,4,8), verifies the
 // forward and backward results are bitwise identical to the 1-thread run,
-// and writes BENCH_tensor.json. Pass --gbench to run the google-benchmark
+// and writes BENCH_tensor.json. It also times every zoo model's batch-of-one
+// and batch-of-8 eval forward with fusion on and off (`serving_forward`,
+// with nodes/allocs/bytes per request) and fails on any fused/unfused
+// mismatch. Pass --gbench to run the google-benchmark
 // suite instead (it accepts the usual --benchmark_* flags).
 #include <benchmark/benchmark.h>
 
@@ -179,10 +182,10 @@ std::vector<SimdRow> RunSimdSweep();  // defined after TimeMs/SameBits
 // ----- Training-step graph statistics --------------------------------------
 
 // Synthetic batch with the shapes the paper experiments use in the quick
-// profile: 16 samples x 24 tokens.
-data::Batch MakeSyntheticBatch(int vocab_size) {
+// profile: 16 samples (or `batch_size`) x 24 tokens.
+data::Batch MakeSyntheticBatch(int vocab_size, int64_t batch_size = 16) {
   data::Batch batch;
-  batch.batch_size = 16;
+  batch.batch_size = batch_size;
   batch.seq_len = 24;
   Rng rng(42);
   batch.tokens.resize(batch.batch_size * batch.seq_len);
@@ -396,6 +399,71 @@ std::vector<SimdRow> RunSimdSweep() {
   return rows;
 }
 
+// ----- Serving forward per zoo model ---------------------------------------
+
+struct ServingRow {
+  std::string model;
+  bool fused = false;
+  double b1_us = 0.0;
+  double b8_us_per_request = 0.0;
+  StepStats per_request;  // one batch-of-one forward
+  bool bitwise_equal_to_unfused = false;
+};
+
+// Every zoo model's eval forward + softmax under NoGradGuard (the compute
+// of InferenceSession::PredictBatch) at batch 1 and 8, fusion off (the
+// unrolled recurrences) and on, 1 kernel thread. Shapes are the serving
+// defaults: encoder dim 32, seq_len 24, rnn_hidden 32, 4 experts.
+std::vector<ServingRow> RunServingForward(const text::FrozenEncoder& encoder) {
+  models::ModelConfig config;
+  config.vocab_size = 1000;
+  config.num_domains = 3;
+  config.encoder = &encoder;
+  const data::Batch one = MakeSyntheticBatch(config.vocab_size, 1);
+  const data::Batch eight = MakeSyntheticBatch(config.vocab_size, 8);
+  const bool saved_fusion = tensor::FusionEnabled();
+  SetNumThreads(1);
+  std::vector<ServingRow> rows;
+  for (const std::string& name : models::AllModelNames()) {
+    auto model = models::CreateModel(name, config);
+    const auto predict = [&](const data::Batch& batch) {
+      tensor::NoGradGuard no_grad;
+      return tensor::Softmax(model->Forward(batch, /*training=*/false).logits)
+          .ToVector();
+    };
+    std::vector<float> unfused_one, unfused_eight;
+    for (const bool fused : {false, true}) {
+      tensor::SetFusionEnabled(fused);
+      ServingRow row;
+      row.model = name;
+      row.fused = fused;
+      const std::vector<float> p_one = predict(one);
+      const std::vector<float> p_eight = predict(eight);
+      if (!fused) {
+        unfused_one = p_one;
+        unfused_eight = p_eight;
+      }
+      row.bitwise_equal_to_unfused =
+          SameBits(p_one, unfused_one) && SameBits(p_eight, unfused_eight);
+      row.per_request = MeasureStep([&] { predict(one); }, fused);
+      row.b1_us = 1000.0 * TimeMs([&] { predict(one); });
+      row.b8_us_per_request = 1000.0 * TimeMs([&] { predict(eight); }) / 8;
+      std::printf(
+          "%-12s %-7s b1 %8.1f us  b8 %8.1f us/req  %5llu nodes %5llu "
+          "allocs %7.1f KiB per request  %s\n",
+          name.c_str(), fused ? "fused" : "unfused", row.b1_us,
+          row.b8_us_per_request,
+          static_cast<unsigned long long>(row.per_request.nodes),
+          static_cast<unsigned long long>(row.per_request.allocs),
+          row.per_request.bytes / 1024.0,
+          row.bitwise_equal_to_unfused ? "bitwise==unfused" : "MISMATCH");
+      rows.push_back(std::move(row));
+    }
+  }
+  tensor::SetFusionEnabled(saved_fusion);
+  return rows;
+}
+
 std::vector<int> ParseThreadList(const std::string& csv) {
   std::vector<int> out;
   size_t pos = 0;
@@ -466,6 +534,12 @@ int RunSweep(const FlagParser& flags) {
   const text::FrozenEncoder encoder(1000, 32, 14);
   const std::vector<StepReport> steps = RunTrainingStepStats(encoder);
 
+  // Batch-of-one / batch-of-8 forward cost per zoo model, fused vs not.
+  const std::vector<ServingRow> serving = RunServingForward(encoder);
+  for (const ServingRow& r : serving) {
+    all_equal = all_equal && r.bitwise_equal_to_unfused;
+  }
+
   // Build the whole document in memory and write it temp-file + rename so a
   // crashed or concurrent bench run never leaves a truncated artifact.
   std::string json;
@@ -525,6 +599,25 @@ int RunSweep(const FlagParser& flags) {
         static_cast<unsigned long long>(s.unfused.allocs),
         static_cast<unsigned long long>(s.unfused.bytes),
         s.node_reduction_pct, i + 1 == steps.size() ? "" : ",");
+    json += line;
+  }
+  json += "  ],\n";
+  json += "  \"serving_forward\": [\n";
+  for (size_t i = 0; i < serving.size(); ++i) {
+    const ServingRow& r = serving[i];
+    std::snprintf(
+        line, sizeof(line),
+        "    {\"model\": \"%s\", \"fused\": %s, \"b1_us_per_request\": "
+        "%.1f, \"b8_us_per_request\": %.1f, \"nodes_per_request\": %llu, "
+        "\"allocs_per_request\": %llu, \"bytes_per_request\": %llu, "
+        "\"bitwise_equal_to_unfused\": %s}%s\n",
+        r.model.c_str(), r.fused ? "true" : "false", r.b1_us,
+        r.b8_us_per_request,
+        static_cast<unsigned long long>(r.per_request.nodes),
+        static_cast<unsigned long long>(r.per_request.allocs),
+        static_cast<unsigned long long>(r.per_request.bytes),
+        r.bitwise_equal_to_unfused ? "true" : "false",
+        i + 1 == serving.size() ? "" : ",");
     json += line;
   }
   json += "  ]\n}\n";

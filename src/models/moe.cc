@@ -68,6 +68,11 @@ ModelOutput MoseModel::Forward(const data::Batch& batch, bool training) {
   std::vector<Tensor> expert_outs;
   for (const auto& expert : experts_) {
     // Run the LSTM expert over the sequence; use the final hidden state.
+    if (expert->CanFuseSequence(encoded)) {
+      expert_outs.push_back(tensor::SliceTime(
+          expert->Sequence(encoded, /*reverse=*/false), batch.seq_len - 1));
+      continue;
+    }
     nn::LstmCell::State state{
         Tensor::Zeros({batch.batch_size, config_.rnn_hidden}),
         Tensor::Zeros({batch.batch_size, config_.rnn_hidden})};

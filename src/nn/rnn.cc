@@ -36,6 +36,14 @@ Tensor GruCell::Step(const Tensor& x, const Tensor& h) const {
   return tensor::Add(n, tensor::Mul(z, tensor::Sub(h, n)));
 }
 
+bool GruCell::CanFuseSequence(const Tensor& x) const {
+  return tensor::ForwardOnlyFusionApplies({x, wx_, wh_, bias_});
+}
+
+Tensor GruCell::Sequence(const Tensor& x, bool reverse) const {
+  return tensor::GruSequence(x, wx_, wh_, bias_, reverse);
+}
+
 LstmCell::LstmCell(int64_t input_dim, int64_t hidden_dim, Rng* rng)
     : input_dim_(input_dim), hidden_dim_(hidden_dim) {
   wx_ = RegisterParam("wx", tensor::XavierInit({input_dim, 4 * hidden_dim},
@@ -60,6 +68,28 @@ LstmCell::State LstmCell::Step(const Tensor& x, const State& state) const {
   return {h, c};
 }
 
+bool LstmCell::CanFuseSequence(const Tensor& x) const {
+  return tensor::ForwardOnlyFusionApplies({x, wx_, wh_, bias_});
+}
+
+Tensor LstmCell::Sequence(const Tensor& x, bool reverse) const {
+  return tensor::LstmSequence(x, wx_, wh_, bias_, reverse);
+}
+
+namespace {
+
+// [B,T,H] forward and backward states -> [B,T,2H], the same rows the
+// unrolled path concatenates per step.
+Tensor ConcatDirections(const Tensor& fwd, const Tensor& bwd) {
+  const int64_t b = fwd.dim(0), t = fwd.dim(1), hd = fwd.dim(2);
+  return tensor::Reshape(
+      tensor::ConcatLastDim({tensor::Reshape(fwd, {b * t, hd}),
+                             tensor::Reshape(bwd, {b * t, hd})}),
+      {b, t, 2 * hd});
+}
+
+}  // namespace
+
 BiGru::BiGru(int64_t input_dim, int64_t hidden_dim, Rng* rng) {
   fwd_ = std::make_unique<GruCell>(input_dim, hidden_dim, rng);
   bwd_ = std::make_unique<GruCell>(input_dim, hidden_dim, rng);
@@ -69,6 +99,10 @@ BiGru::BiGru(int64_t input_dim, int64_t hidden_dim, Rng* rng) {
 
 Tensor BiGru::Forward(const Tensor& x) const {
   DTDBD_CHECK_EQ(x.ndim(), 3);
+  if (fwd_->CanFuseSequence(x) && bwd_->CanFuseSequence(x)) {
+    return ConcatDirections(fwd_->Sequence(x, /*reverse=*/false),
+                            bwd_->Sequence(x, /*reverse=*/true));
+  }
   const int64_t b = x.dim(0), t = x.dim(1);
   const int64_t hd = fwd_->hidden_dim();
   std::vector<Tensor> fwd_out(t), bwd_out(t);
@@ -100,6 +134,10 @@ BiLstm::BiLstm(int64_t input_dim, int64_t hidden_dim, Rng* rng) {
 
 Tensor BiLstm::Forward(const Tensor& x) const {
   DTDBD_CHECK_EQ(x.ndim(), 3);
+  if (fwd_->CanFuseSequence(x) && bwd_->CanFuseSequence(x)) {
+    return ConcatDirections(fwd_->Sequence(x, /*reverse=*/false),
+                            bwd_->Sequence(x, /*reverse=*/true));
+  }
   const int64_t b = x.dim(0), t = x.dim(1);
   const int64_t hd = fwd_->hidden_dim();
   std::vector<Tensor> fwd_out(t), bwd_out(t);

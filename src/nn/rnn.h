@@ -1,6 +1,7 @@
 // Recurrent layers: GRU and LSTM cells plus bidirectional wrappers that
 // unroll over a [B,T,E] sequence via the autograd tape (backprop through
-// time comes for free).
+// time comes for free). Where no graph is recorded (serving, evaluation)
+// the wrappers run each direction as one fused sequence op instead.
 #ifndef DTDBD_NN_RNN_H_
 #define DTDBD_NN_RNN_H_
 
@@ -18,6 +19,13 @@ class GruCell : public Module {
 
   // x [B,in], h [B,H] -> new h [B,H].
   tensor::Tensor Step(const tensor::Tensor& x, const tensor::Tensor& h) const;
+
+  // True when Sequence() may replace unrolling Step over x (see
+  // tensor::ForwardOnlyFusionApplies).
+  bool CanFuseSequence(const tensor::Tensor& x) const;
+  // x [B,T,in] -> the hidden states [B,T,H] of Step unrolled from h = 0
+  // (t descending when `reverse`), as one forward-only node.
+  tensor::Tensor Sequence(const tensor::Tensor& x, bool reverse) const;
 
   int64_t hidden_dim() const { return hidden_dim_; }
 
@@ -40,6 +48,10 @@ class LstmCell : public Module {
   };
 
   State Step(const tensor::Tensor& x, const State& state) const;
+
+  // As GruCell: the h of Step unrolled from h = c = 0, as one node.
+  bool CanFuseSequence(const tensor::Tensor& x) const;
+  tensor::Tensor Sequence(const tensor::Tensor& x, bool reverse) const;
 
   int64_t hidden_dim() const { return hidden_dim_; }
 

@@ -85,6 +85,15 @@ Tensor EnsureReadable(const Tensor& t) {
   return Contiguous(t);
 }
 
+// True when MakeOp would record a node over `inputs` in the autograd graph.
+bool RecordsGraph(const std::vector<Tensor>& inputs) {
+  if (!GradEnabled()) return false;
+  for (const Tensor& t : inputs) {
+    if (t.requires_grad()) return true;
+  }
+  return false;
+}
+
 void CheckSameShape(const char* op, const Tensor& a, const Tensor& b) {
   DTDBD_CHECK(a.shape() == b.shape())
       << op << ": shape mismatch " << ShapeToString(a.shape()) << " vs "
@@ -810,6 +819,124 @@ void MatVecOverTimeBackward(Node* self) {
 
 const Op* const kMatVecOverTime =
     OpRegistry::Get().Register({"MatVecOverTime", 2, &MatVecOverTimeBackward});
+
+// ----- GruSequence / LstmSequence (forward-only fused recurrences) -----
+//
+// A recurrence unrolled through GruCell::Step / LstmCell::Step records
+// ~20 nodes per time step. These ops run a whole [B,T,E] sequence as one
+// node: MatMul's ikj rows compute x·W_ih for all T steps, AddBias's add
+// follows, and each step then runs only h·W_hh (same kernel, same
+// zero-skip) plus one in-place gate loop with the cell's per-element
+// arithmetic. They have no backward: the entry points refuse to run where
+// MakeOp would record their node, so training keeps the unrolled
+// composition and its gradients.
+
+void ForwardOnlyBackward(Node* self) {
+  DTDBD_CHECK(false) << self->op_name() << " is forward-only";
+}
+
+const Op* const kGruSequence =
+    OpRegistry::Get().Register({"GruSequence", 4, &ForwardOnlyBackward});
+const Op* const kLstmSequence =
+    OpRegistry::Get().Register({"LstmSequence", 4, &ForwardOnlyBackward});
+
+// One time step of GruCell::Step on a batch row. gx = (x·W_ih) + b and
+// gh = h·W_hh, both packed [z | r | n]; h is updated in place.
+struct GruGates {
+  static constexpr int64_t kGates = 3;
+  static void Step(const float* gx, const float* gh, float* h, float* /*c*/,
+                   int64_t hd) {
+    for (int64_t j = 0; j < hd; ++j) {
+      const float z = SigmoidFn::Fwd(gx[j] + gh[j]);
+      const float r = SigmoidFn::Fwd(gx[hd + j] + gh[hd + j]);
+      const float n = TanhFn::Fwd(gx[2 * hd + j] + r * gh[2 * hd + j]);
+      h[j] = n + z * (h[j] - n);
+    }
+  }
+};
+
+// One time step of LstmCell::Step, gates packed [i | f | o | g]. The
+// products f*c and i*g round separately (-ffp-contract=off), like the
+// Mul/Mul/Add they replace.
+struct LstmGates {
+  static constexpr int64_t kGates = 4;
+  static void Step(const float* gx, const float* gh, float* h, float* c,
+                   int64_t hd) {
+    for (int64_t j = 0; j < hd; ++j) {
+      const float i = SigmoidFn::Fwd(gx[j] + gh[j]);
+      const float f = SigmoidFn::Fwd(gx[hd + j] + gh[hd + j]);
+      const float o = SigmoidFn::Fwd(gx[2 * hd + j] + gh[2 * hd + j]);
+      const float g = TanhFn::Fwd(gx[3 * hd + j] + gh[3 * hd + j]);
+      c[j] = f * c[j] + i * g;
+      h[j] = o * TanhFn::Fwd(c[j]);
+    }
+  }
+};
+
+// x [B,T,E], W_ih [E,kH], W_hh [H,kH], b [kH] -> hidden states [B,T,H]
+// from h = c = 0, stepping t = T-1..0 when `reverse`.
+template <typename Gates>
+Tensor RecurrentSequence(const Op* op, const Tensor& x_in,
+                         const Tensor& wx_in, const Tensor& wh_in,
+                         const Tensor& bias_in, bool reverse) {
+  DTDBD_CHECK_EQ(x_in.ndim(), 3);
+  DTDBD_CHECK_EQ(wx_in.ndim(), 2);
+  DTDBD_CHECK_EQ(wh_in.ndim(), 2);
+  DTDBD_CHECK_EQ(bias_in.ndim(), 1);
+  const int64_t b = x_in.dim(0), t = x_in.dim(1), e = x_in.dim(2);
+  const int64_t hd = wh_in.dim(0), g = Gates::kGates * hd;
+  DTDBD_CHECK(t > 0 && wx_in.dim(0) == e && wx_in.dim(1) == g &&
+              wh_in.dim(1) == g && bias_in.dim(0) == g)
+      << op->name << ": x " << ShapeToString(x_in.shape()) << ", W_ih "
+      << ShapeToString(wx_in.shape()) << ", W_hh "
+      << ShapeToString(wh_in.shape()) << ", b "
+      << ShapeToString(bias_in.shape());
+  DTDBD_CHECK(!RecordsGraph({x_in, wx_in, wh_in, bias_in}))
+      << op->name << " is forward-only; unroll the cell under grad";
+  Tensor x = Contiguous(x_in);
+  Tensor wx = EnsureReadable(wx_in);
+  Tensor wh = EnsureReadable(wh_in);
+  Tensor bias = Contiguous(bias_in);
+  ScopedOpTimer timer(op);
+  const Reader rwx = ReadOf(wx.node().get());
+  const Reader rwh = ReadOf(wh.node().get());
+  const float* px = x.node()->cdata();
+  const float* pb = bias.node()->cdata();
+  std::vector<float> out(static_cast<size_t>(b * t * hd));
+  float* po = out.data();
+  const bool vec = UseAvx512() && g >= 16;
+  // Batch rows recur independently, so sharding over them changes nothing.
+  ParallelFor(b, GrainForRows(t * (e + hd) * g), [&](int64_t s, int64_t e2) {
+    std::vector<float> gx(static_cast<size_t>(t * g));
+    std::vector<float> gh(static_cast<size_t>(g));
+    std::vector<float> h(static_cast<size_t>(hd));
+    std::vector<float> c(static_cast<size_t>(hd));
+    Reader rx;
+    rx.cols = rx.row_stride = e;
+    Reader rh;
+    rh.ptr = h.data();
+    rh.cols = rh.row_stride = hd;
+    for (int64_t bi = s; bi < e2; ++bi) {
+      std::fill(gx.begin(), gx.end(), 0.0f);
+      rx.ptr = px + bi * t * e;
+      MatMulAccumulateRows(rx, rwx, gx.data(), e, g, 0, t, vec);
+      for (int64_t ti = 0; ti < t; ++ti) {
+        float* row = gx.data() + ti * g;
+        for (int64_t j = 0; j < g; ++j) row[j] = row[j] + pb[j];
+      }
+      std::fill(h.begin(), h.end(), 0.0f);
+      std::fill(c.begin(), c.end(), 0.0f);
+      for (int64_t step = 0; step < t; ++step) {
+        const int64_t ti = reverse ? t - 1 - step : step;
+        std::fill(gh.begin(), gh.end(), 0.0f);
+        MatMulAccumulateRows(rh, rwh, gh.data(), hd, g, 0, 1, vec);
+        Gates::Step(gx.data() + ti * g, gh.data(), h.data(), c.data(), hd);
+        std::copy(h.begin(), h.end(), po + (bi * t + ti) * hd);
+      }
+    }
+  });
+  return MakeOp(op, {b, t, hd}, std::move(out), {x, wx, wh, bias});
+}
 
 // ----- Views: Transpose2d / Reshape / SliceLastDim / SliceTime -----
 
@@ -2099,6 +2226,21 @@ Tensor MatVecOverTime(const Tensor& x_in, const Tensor& v_in) {
     }
   });
   return MakeOp(kMatVecOverTime, {b, t}, std::move(out), {x, v});
+}
+
+bool ForwardOnlyFusionApplies(const std::vector<Tensor>& inputs) {
+  return FusionEnabled() && !RecordsGraph(inputs);
+}
+
+Tensor GruSequence(const Tensor& x, const Tensor& wx, const Tensor& wh,
+                   const Tensor& bias, bool reverse) {
+  return RecurrentSequence<GruGates>(kGruSequence, x, wx, wh, bias, reverse);
+}
+
+Tensor LstmSequence(const Tensor& x, const Tensor& wx, const Tensor& wh,
+                    const Tensor& bias, bool reverse) {
+  return RecurrentSequence<LstmGates>(kLstmSequence, x, wx, wh, bias,
+                                      reverse);
 }
 
 Tensor GradReverse(const Tensor& x, float lambda) {

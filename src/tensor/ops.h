@@ -102,6 +102,25 @@ Tensor Conv1dSeqRelu(const Tensor& x, const Tensor& weight,
 // attention score computation.
 Tensor MatVecOverTime(const Tensor& x, const Tensor& v);
 
+// ----- Forward-only fused recurrences -----
+// GruSequence / LstmSequence run nn::GruCell::Step / LstmCell::Step over a
+// whole sequence as ONE node, bitwise identical to the unrolled steps:
+// x[B,T,E], wx[E,kH], wh[H,kH], bias[kH] (k = 3 for GRU gates [z|r|n],
+// 4 for LSTM gates [i|f|o|g]) -> the hidden states [B,T,H] from h = c = 0,
+// stepping t = T-1..0 when `reverse`. They have no backward, so they are
+// the one exception to the self-fallback rule above: callers run them only
+// where ForwardOnlyFusionApplies() holds and unroll the cell otherwise,
+// which keeps every training graph and gradient unchanged. Calling them
+// where MakeOp would record a node is a DTDBD_CHECK failure.
+//
+// True when fusion is on and a composition over `inputs` would record no
+// graph node (gradient mode off, or no input requires grad).
+bool ForwardOnlyFusionApplies(const std::vector<Tensor>& inputs);
+Tensor GruSequence(const Tensor& x, const Tensor& wx, const Tensor& wh,
+                   const Tensor& bias, bool reverse);
+Tensor LstmSequence(const Tensor& x, const Tensor& wx, const Tensor& wh,
+                    const Tensor& bias, bool reverse);
+
 // ----- Gradient reversal (domain adversarial training) -----
 // Identity forward (zero-copy view); backward multiplies the incoming
 // gradient by -lambda.

@@ -80,12 +80,16 @@ Tensor MakeView(const Op* op, Shape shape, Shape strides, int64_t offset,
 
 // ----- Op fusion toggle -----
 
-// Fused kernels (LinearRelu, Conv1dSeqRelu, MatVecOverTime, and the
-// softmax-fused losses SoftmaxCrossEntropy / SoftmaxKl) are enabled by
-// default. Every fused public entry point self-falls-back to its unfused
-// reference composition of primitive ops when fusion is off, so callers
-// never branch. The initial value comes from the environment: setting
-// DTDBD_NO_FUSION to anything other than "0" disables fusion process-wide.
+// Fused kernels (LinearRelu, Conv1dSeqRelu, MatVecOverTime, the
+// softmax-fused losses SoftmaxCrossEntropy / SoftmaxKl, and the
+// forward-only recurrences GruSequence / LstmSequence) are enabled by
+// default. Every fused public entry point with a backward self-falls-back
+// to its unfused reference composition of primitive ops when fusion is
+// off, so callers never branch. The forward-only recurrences are the
+// exception: the nn recurrent layers check ForwardOnlyFusionApplies()
+// (ops.h) and unroll their cells when it is false. The initial value comes
+// from the environment: setting DTDBD_NO_FUSION to anything other than "0"
+// disables fusion process-wide.
 bool FusionEnabled();
 void SetFusionEnabled(bool enabled);
 

@@ -4,10 +4,20 @@
 
 #include "tensor/init.h"
 #include "tensor/ops.h"
+#include "tensor/registry.h"
 
 namespace dtdbd::text {
 
 using tensor::Tensor;
+
+namespace {
+
+// Registered so the op counters (GetOpStats) time and count the encoder
+// like any kernel. It has no inputs, so its node never joins a graph.
+const tensor::Op* const kFrozenEncode =
+    tensor::OpRegistry::Get().Register({"FrozenEncode", 0, nullptr});
+
+}  // namespace
 
 FrozenEncoder::FrozenEncoder(int vocab_size, int64_t dim, uint64_t seed)
     : dim_(dim) {
@@ -22,6 +32,7 @@ FrozenEncoder::FrozenEncoder(int vocab_size, int64_t dim, uint64_t seed)
 Tensor FrozenEncoder::Encode(const std::vector<int>& ids, int64_t batch,
                              int64_t time) const {
   DTDBD_CHECK_EQ(static_cast<int64_t>(ids.size()), batch * time);
+  tensor::ScopedOpTimer timer(kFrozenEncode);
   const int64_t v = table_.dim(0);
   // All ids bounds-checked up front (the neighborhood loop below reads ids
   // at offsets other than the current position, so a per-element check at
@@ -67,7 +78,8 @@ Tensor FrozenEncoder::Encode(const std::vector<int>& ids, int64_t batch,
       }
     }
   }
-  return Tensor::FromData({batch, time, dim_}, std::move(out));
+  return tensor::MakeOp(kFrozenEncode, {batch, time, dim_}, std::move(out),
+                        {});
 }
 
 }  // namespace dtdbd::text

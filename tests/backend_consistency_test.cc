@@ -21,6 +21,7 @@
 #include "tensor/ops.h"
 #include "tensor/registry.h"
 #include "tensor/tensor.h"
+#include "text/frozen_encoder.h"
 
 namespace dtdbd::tensor {
 namespace {
@@ -239,6 +240,30 @@ std::vector<Case> AllCases() {
     Tensor loss = Add(Add(Sum(m), Add(Sum(lin), soft)),
                       Add(Sum(ln), Sum(scores)));
     return Built{{x, w, bias, table, cw, cb, gamma, beta, v}, loss};
+  }});
+
+  cases.push_back({"forward_only_sequences_and_encoder", [] {
+    // Forward-only ops over inputs that require no grad; each feeds a
+    // differentiable product, so its node shows in the graph as a constant.
+    // H = 17 leaves a non-multiple-of-16 tail in every GRU gate row.
+    Tensor x = Rand({3, 24, 20}, 40, /*requires_grad=*/false);
+    Tensor gru = GruSequence(x, Rand({20, 51}, 41, false),
+                             Rand({17, 51}, 42, false), Rand({51}, 43, false),
+                             /*reverse=*/true);
+    Tensor lstm = LstmSequence(x, Rand({20, 128}, 44, false),
+                               Rand({32, 128}, 45, false),
+                               Rand({128}, 46, false), /*reverse=*/false);
+    text::FrozenEncoder encoder(50, 16, 47);
+    Rng id_rng(48);
+    std::vector<int> ids(3 * 24);
+    for (auto& id : ids) id = static_cast<int>(id_rng.UniformInt(50));
+    Tensor encoded = encoder.Encode(ids, 3, 24);
+    Tensor sg = Rand({3, 24, 17}, 49);
+    Tensor sl = Rand({3, 24, 32}, 50);
+    Tensor se = Rand({3, 24, 16}, 51);
+    Tensor loss = Add(Sum(Mul(gru, sg)),
+                      Add(Sum(Mul(lstm, sl)), Sum(Mul(encoded, se))));
+    return Built{{sg, sl, se}, loss};
   }});
 
   cases.push_back({"unfused_reference", [] {

@@ -3,7 +3,9 @@
 // identical losses AND gradients to the unfused composition it replaces —
 // at every thread count. This is the contract that lets fusion default to
 // on: enabling DTDBD_NO_FUSION (or SetFusionEnabled(false)) can never
-// change a training run, only its speed and graph size.
+// change a training run, only its speed and graph size. The forward-only
+// recurrences (GruSequence, LstmSequence) must match the nn cells' Step
+// unrolled over time, bitwise, at every thread count and SIMD setting.
 //
 // Comparison graphs keep at most two gradient contributions per compared
 // leaf element: with float accumulation, (0+a)+b == (0+b)+a bitwise, but
@@ -11,6 +13,7 @@
 // depend on traversal order rather than kernel math.
 #include <cstring>
 #include <functional>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -18,6 +21,7 @@
 
 #include "common/rng.h"
 #include "common/thread_pool.h"
+#include "nn/rnn.h"
 #include "tensor/init.h"
 #include "tensor/loss.h"
 #include "tensor/ops.h"
@@ -252,6 +256,144 @@ TEST_F(FusedOpsTest, SoftmaxKlGradcheck) {
   Tensor student = Rand({6, 4}, 28);
   const auto forward = [&] { return DistillKlLoss(teacher, student, 2.0f); };
   ::dtdbd::testing::ExpectGradMatchesNumeric(student, forward);
+}
+
+// ----- Forward-only recurrences -----
+
+class SimdGuard {
+ public:
+  explicit SimdGuard(bool enabled) : saved_(SimdEnabled()) {
+    SetSimdEnabled(enabled);
+  }
+  ~SimdGuard() { SetSimdEnabled(saved_); }
+
+ private:
+  bool saved_;
+};
+
+// The reference: an nn cell holding (wx, wh, bias), its Step unrolled from
+// zero state (t descending when `reverse`), states restacked [B,T,H].
+template <typename Cell, typename StepFn>
+std::vector<float> UnrolledCell(const Tensor& x, const Tensor& wx,
+                                const Tensor& wh, const Tensor& bias,
+                                bool reverse, StepFn step) {
+  const int64_t b = x.dim(0), t = x.dim(1), hd = wh.dim(0);
+  Rng rng(0);
+  Cell cell(x.dim(2), hd, &rng);
+  const std::map<std::string, Tensor> from = {
+      {"wx", Contiguous(wx)}, {"wh", Contiguous(wh)}, {"bias", bias}};
+  for (auto& [name, param] : cell.NamedParameters()) {
+    param.CopyDataFrom(from.at(name));
+  }
+  NoGradGuard no_grad;
+  std::vector<Tensor> states(static_cast<size_t>(t));
+  Tensor h = Tensor::Zeros({b, hd});
+  Tensor c = Tensor::Zeros({b, hd});
+  for (int64_t s = 0; s < t; ++s) {
+    const int64_t ti = reverse ? t - 1 - s : s;
+    step(cell, SliceTime(x, ti), &h, &c);
+    states[static_cast<size_t>(ti)] = h;
+  }
+  return StackTime(states).ToVector();
+}
+
+// Every shape class the serving models hit: batch-of-one and a batch, one
+// step and a serving-length sequence, a hidden size whose gate rows end in
+// a non-multiple-of-16 tail (17) and an aligned one (32), both directions.
+// Weights enter as strided SliceLastDim views; batch row 0's first input
+// row is all zero and every 5th input element elsewhere is zero, so the
+// x·W_ih zero-skip runs next to the zero initial state's h·W_hh skip.
+TEST_F(FusedOpsTest, RecurrentSequencesMatchUnrolledCellsBitwise) {
+  const int64_t e = 20;
+  uint64_t seed = 100;
+  for (const bool lstm : {false, true}) {
+    for (const int64_t b : {1, 3}) {
+      for (const int64_t t : {1, 24}) {
+        for (const int64_t hd : {17, 32}) {
+          for (const bool reverse : {false, true}) {
+            SCOPED_TRACE(std::string(lstm ? "LSTM" : "GRU") + " B=" +
+                         std::to_string(b) + " T=" + std::to_string(t) +
+                         " H=" + std::to_string(hd) +
+                         (reverse ? " reverse" : ""));
+            const int64_t g = (lstm ? 4 : 3) * hd;
+            std::vector<float> xs = Rand({b, t, e}, ++seed, false).ToVector();
+            for (size_t i = 0; i < xs.size(); ++i) {
+              if (static_cast<int64_t>(i) < e || i % 5 == 0) xs[i] = 0.0f;
+            }
+            const Tensor x = Tensor::FromData({b, t, e}, xs);
+            const Tensor wx =
+                SliceLastDim(Rand({e, g + 7}, ++seed, false), 3, g);
+            const Tensor wh =
+                SliceLastDim(Rand({hd, g + 5}, ++seed, false), 2, g);
+            const Tensor bias = Rand({g}, ++seed, false);
+            ASSERT_FALSE(wx.contiguous());
+
+            std::vector<float> reference;
+            {
+              SetNumThreads(1);
+              SimdGuard scalar(false);
+              reference =
+                  lstm ? UnrolledCell<nn::LstmCell>(
+                             x, wx, wh, bias, reverse,
+                             [](const nn::LstmCell& cell, const Tensor& xt,
+                                Tensor* h, Tensor* c) {
+                               const nn::LstmCell::State next =
+                                   cell.Step(xt, {*h, *c});
+                               *h = next.h;
+                               *c = next.c;
+                             })
+                       : UnrolledCell<nn::GruCell>(
+                             x, wx, wh, bias, reverse,
+                             [](const nn::GruCell& cell, const Tensor& xt,
+                                Tensor* h, Tensor*) {
+                               *h = cell.Step(xt, *h);
+                             });
+            }
+            for (const int threads : {1, 4}) {
+              for (const bool simd : {false, true}) {
+                SetNumThreads(threads);
+                SimdGuard dispatch(simd);
+                NoGradGuard no_grad;
+                const Tensor out =
+                    lstm ? LstmSequence(x, wx, wh, bias, reverse)
+                         : GruSequence(x, wx, wh, bias, reverse);
+                EXPECT_EQ(out.shape(), (Shape{b, t, hd}));
+                EXPECT_TRUE(BitwiseEqual(out.ToVector(), reference))
+                    << "threads=" << threads << " simd=" << simd;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  SetNumThreads(1);
+}
+
+// The sequence ops run only where they would record no graph node; the
+// registered backward is unreachable because the op refuses to run there.
+TEST_F(FusedOpsTest, ForwardOnlySequencesRefuseToJoinTheGraph) {
+  const Tensor x = Rand({2, 3, 4}, 40, /*requires_grad=*/false);
+  const Tensor wx = Rand({4, 15}, 41);
+  const Tensor wh = Rand({5, 15}, 42);
+  const Tensor bias = Rand({15}, 43);
+  {
+    FusionGuard fusion(true);
+    EXPECT_TRUE(ForwardOnlyFusionApplies({x}));
+    EXPECT_FALSE(ForwardOnlyFusionApplies({x, wx, wh, bias}));
+    NoGradGuard no_grad;
+    EXPECT_TRUE(ForwardOnlyFusionApplies({x, wx, wh, bias}));
+    const Tensor out = GruSequence(x, wx, wh, bias, /*reverse=*/false);
+    EXPECT_FALSE(out.requires_grad());
+    EXPECT_NE(DumpGraph(out).find("= GruSequence()"), std::string::npos);
+  }
+  {
+    FusionGuard fusion(false);
+    NoGradGuard no_grad;
+    EXPECT_FALSE(ForwardOnlyFusionApplies({x}));
+  }
+  EXPECT_DEATH(GruSequence(x, wx, wh, bias, /*reverse=*/false),
+               "forward-only");
 }
 
 // Fusion reduces the node count of a linear+loss step without changing the

@@ -1,10 +1,15 @@
 #include "models/model.h"
 
 #include <cmath>
+#include <cstring>
+#include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
+#include "tensor/loss.h"
 #include "tensor/ops.h"
+#include "tensor/registry.h"
 
 #include "data/generator.h"
 #include "models/m3fend.h"
@@ -163,6 +168,52 @@ TEST(ModelFactoryDeathTest, UnknownName) {
   config.vocab_size = 10;
   config.num_domains = 2;
   EXPECT_DEATH(CreateModel("NotAModel", config), "unknown model name");
+}
+
+// Under grad the recurrent models never take the forward-only fused
+// sequence ops: a training forward unrolls every cell step into the graph,
+// and the gradients are bitwise those of the DTDBD_NO_FUSION run.
+TEST_F(ModelZooTest, RecurrentTrainingForwardKeepsUnrolledGraph) {
+  struct Run {
+    std::string dump;
+    std::vector<std::vector<float>> grads;
+  };
+  const bool saved = tensor::FusionEnabled();
+  for (const char* name : {"BiGRU-S", "StyleLSTM", "MoSE"}) {
+    SCOPED_TRACE(name);
+    const auto run = [&](bool fused) {
+      tensor::SetFusionEnabled(fused);
+      auto model = CreateModel(name, config_);
+      ModelOutput out = model->Forward(batch_, /*training=*/true);
+      tensor::Tensor loss =
+          tensor::CrossEntropyLoss(out.logits, batch_.labels);
+      Run r;
+      r.dump = tensor::DumpGraph(loss);
+      loss.Backward();
+      for (const tensor::Tensor& p : model->Parameters()) {
+        r.grads.push_back(p.grad());
+      }
+      return r;
+    };
+    const Run unfused = run(false);
+    const Run fused = run(true);
+    EXPECT_EQ(fused.dump.find("Sequence("), std::string::npos);
+    size_t sigmoids = 0;
+    for (size_t at = fused.dump.find("= Sigmoid("); at != std::string::npos;
+         at = fused.dump.find("= Sigmoid(", at + 1)) {
+      ++sigmoids;
+    }
+    EXPECT_GE(sigmoids, static_cast<size_t>(2 * batch_.seq_len));
+    ASSERT_EQ(fused.grads.size(), unfused.grads.size());
+    for (size_t i = 0; i < fused.grads.size(); ++i) {
+      ASSERT_EQ(fused.grads[i].size(), unfused.grads[i].size());
+      EXPECT_EQ(std::memcmp(fused.grads[i].data(), unfused.grads[i].data(),
+                            fused.grads[i].size() * sizeof(float)),
+                0)
+          << "gradient of parameter " << i << " differs";
+    }
+  }
+  tensor::SetFusionEnabled(saved);
 }
 
 }  // namespace

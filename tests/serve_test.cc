@@ -189,41 +189,85 @@ TEST_F(ServeTest, CreateModelOrRejectsUnknownName) {
 // ----- Bitwise parity with the offline evaluator -----
 
 TEST_F(ServeTest, SessionMatchesOfflineEvaluatorBitwise) {
-  // PredictFakeProbability runs batched (64) forwards over the same model
-  // instance the session owns; per-row eval kernels must agree exactly.
-  for (const char* name : {"MDFEND", "TextCNN", "BERT", "M3FEND"}) {
+  // Fused serving ≡ unfused evaluation, zoo-wide: PredictFakeProbability
+  // runs batched (64) forwards with fusion off, so the recurrent members
+  // unroll their cells step by step; Predict and PredictBatch run with
+  // fusion on, one fused sequence node per recurrence. Every answer must
+  // agree bitwise at 1 and 4 kernel threads, SIMD on and off.
+  data::NewsDataset subset = dataset_;
+  subset.samples.resize(96);
+  std::vector<InferenceRequest> requests;
+  for (const data::NewsSample& sample : subset.samples) {
+    requests.push_back(RequestFor(sample));
+  }
+  std::vector<const InferenceRequest*> batch_of_five;
+  for (size_t i = 0; i < 5; ++i) batch_of_five.push_back(&requests[i]);
+
+  const bool prev_fusion = tensor::FusionEnabled();
+  const bool prev_simd = tensor::SimdEnabled();
+  const int prev_threads = GetNumThreads();
+  for (const std::string& name : models::AllModelNames()) {
     SCOPED_TRACE(name);
     auto session = MakeSession(name, 3);
-    data::NewsDataset subset = dataset_;
-    subset.samples.resize(96);
-    const std::vector<float> reference =
-        PredictFakeProbability(session->model(), subset, 64);
-    ASSERT_EQ(reference.size(), subset.samples.size());
-    for (size_t i = 0; i < subset.samples.size(); ++i) {
-      const auto result = session->Predict(RequestFor(subset.samples[i]));
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(result.value().p_fake, reference[i]) << "sample " << i;
+    for (const bool simd : {false, true}) {
+      tensor::SetSimdEnabled(simd);
+      SetNumThreads(1);
+      tensor::SetFusionEnabled(false);
+      const std::vector<float> reference =
+          PredictFakeProbability(session->model(), subset, 64);
+      tensor::SetFusionEnabled(true);
+      ASSERT_EQ(reference.size(), subset.samples.size());
+      for (const int threads : {1, 4}) {
+        SCOPED_TRACE("simd=" + std::to_string(simd) +
+                     " threads=" + std::to_string(threads));
+        SetNumThreads(threads);
+        for (size_t i = 0; i < requests.size(); ++i) {
+          const auto result = session->Predict(requests[i]);
+          ASSERT_TRUE(result.ok()) << result.status().ToString();
+          EXPECT_EQ(result.value().p_fake, reference[i]) << "sample " << i;
+        }
+        const auto batched = session->PredictBatch(batch_of_five);
+        ASSERT_EQ(batched.size(), batch_of_five.size());
+        for (size_t i = 0; i < batched.size(); ++i) {
+          ASSERT_TRUE(batched[i].ok()) << batched[i].status().ToString();
+          EXPECT_EQ(batched[i].value().p_fake, reference[i])
+              << "batched sample " << i;
+        }
+      }
     }
   }
+  tensor::SetFusionEnabled(prev_fusion);
+  tensor::SetSimdEnabled(prev_simd);
+  SetNumThreads(prev_threads);
 }
 
 // ----- No-graph fast path -----
 
 TEST_F(ServeTest, ServingRecordsZeroGraphNodes) {
-  auto session = MakeSession("MDFEND", 3);
+  // The recurrent members run each recurrence as one fused node, so a
+  // batch-of-one request stays under 20 nodes instead of ~20 per step.
+  const bool prev_fusion = tensor::FusionEnabled();
+  tensor::SetFusionEnabled(true);
   tensor::SetOpProfiling(true);
-  tensor::ResetOpStats();
-  ASSERT_TRUE(session->Predict(ValidRequest()).ok());
-  const tensor::OpStats serving = tensor::TotalOpStats();
-  EXPECT_GT(serving.nodes, 0u);           // ops did run...
-  EXPECT_EQ(serving.graph_recorded, 0u);  // ...but none joined the graph
+  for (const char* name :
+       {"MDFEND", "BiGRU", "BiGRU-S", "StyleLSTM", "DualEmo", "MoSE"}) {
+    SCOPED_TRACE(name);
+    auto session = MakeSession(name, 3);
+    tensor::ResetOpStats();
+    ASSERT_TRUE(session->Predict(ValidRequest()).ok());
+    const tensor::OpStats serving = tensor::TotalOpStats();
+    EXPECT_GT(serving.nodes, 0u);           // ops did run...
+    EXPECT_EQ(serving.graph_recorded, 0u);  // ...but none joined the graph
+    if (std::string(name) != "MDFEND") EXPECT_LT(serving.nodes, 20u);
 
-  // The same model in a training forward does record graph nodes.
-  tensor::ResetOpStats();
-  const data::Batch batch = data::MakeBatch(dataset_, {0, 1, 2, 3});
-  session->model()->Forward(batch, /*training=*/true);
-  EXPECT_GT(tensor::TotalOpStats().graph_recorded, 0u);
+    // The same model in a training forward does record graph nodes.
+    tensor::ResetOpStats();
+    const data::Batch batch = data::MakeBatch(dataset_, {0, 1, 2, 3});
+    session->model()->Forward(batch, /*training=*/true);
+    EXPECT_GT(tensor::TotalOpStats().graph_recorded, 0u);
+  }
   tensor::SetOpProfiling(false);
+  tensor::SetFusionEnabled(prev_fusion);
 }
 
 TEST_F(ServeTest, NoGradGuardIsReentrant) {
