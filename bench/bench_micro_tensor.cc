@@ -4,18 +4,24 @@
 // Default mode sweeps the hot kernels (MatMul, Conv1dSeq, Softmax,
 // EmbeddingGather) across --sweep-threads (default 1,2,4,8), verifies the
 // forward and backward results are bitwise identical to the 1-thread run,
-// and writes BENCH_tensor.json. It also times every zoo model's batch-of-one
-// and batch-of-8 eval forward with fusion on and off (`serving_forward`,
-// with nodes/allocs/bytes per request) and fails on any fused/unfused
-// mismatch. Pass --gbench to run the google-benchmark
-// suite instead (it accepts the usual --benchmark_* flags).
+// and writes BENCH_tensor.json. It also times FrozenEncoder::Encode per
+// sample at batch 1/32/64 with the SIMD mixing layer off and on
+// (`frozen_encode`), and every zoo model's batch-of-one and batch-of-8
+// eval forward with fusion on and off (`serving_forward`, with
+// nodes/allocs/bytes per request), and fails on any scalar/SIMD or
+// fused/unfused mismatch. Every timing is the median of --trials
+// (default 5) interleaved trials, recorded with its min and max and the
+// host fingerprint. Pass --gbench to run the google-benchmark suite
+// instead (it accepts the usual --benchmark_* flags).
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <functional>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
@@ -165,6 +171,112 @@ std::vector<SweepOp> MakeSweepOps() {
   return ops;
 }
 
+// ----- Timing: interleaved trials ------------------------------------------
+
+// Wall-clock ms per iteration; repeats until >= 60 ms of work was measured.
+template <typename Fn>
+double TimeMs(const Fn& fn, int warmup = 2) {
+  for (int i = 0; i < warmup; ++i) fn();
+  using clock = std::chrono::steady_clock;
+  int iters = 0;
+  const auto start = clock::now();
+  double elapsed_ms = 0.0;
+  do {
+    fn();
+    ++iters;
+    elapsed_ms = std::chrono::duration<double, std::milli>(clock::now() -
+                                                           start)
+                     .count();
+  } while (elapsed_ms < 60.0 && iters < 10000);
+  return elapsed_ms / iters;
+}
+
+// One timed figure: `prepare` pins what it runs under (thread count, SIMD,
+// fusion) and `run` is one iteration.
+struct Timed {
+  std::function<void()> prepare;
+  std::function<void()> run;
+};
+
+double Median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  const size_t n = v.size();
+  return n % 2 == 1 ? v[n / 2] : 0.5 * (v[n / 2 - 1] + v[n / 2]);
+}
+
+// One figure's trials in run order (ms per iteration) and their median,
+// min and max.
+struct Timing {
+  std::vector<double> trials;
+  double median = 0.0, min = 0.0, max = 0.0;
+
+  Timing() = default;
+  explicit Timing(std::vector<double> t) : trials(std::move(t)) {
+    if (trials.empty()) return;
+    median = Median(trials);
+    min = *std::min_element(trials.begin(), trials.end());
+    max = *std::max_element(trials.begin(), trials.end());
+  }
+  Timing Scaled(double s) const {
+    std::vector<double> t = trials;
+    for (double& x : t) x *= s;
+    return Timing(std::move(t));
+  }
+};
+
+// Median over the trials of a's time over b's. Both figures ran in the
+// same trials, so each ratio compares two neighbouring measurements; the
+// ratio of the two medians can mix a fast spell of one with a slow spell
+// of the other.
+double MedianRatio(const Timing& a, const Timing& b) {
+  std::vector<double> r;
+  for (size_t t = 0; t < a.trials.size() && t < b.trials.size(); ++t) {
+    if (b.trials[t] > 0) r.push_back(a.trials[t] / b.trials[t]);
+  }
+  return r.empty() ? 0.0 : Median(std::move(r));
+}
+
+// Times every figure `trials` times, interleaved: trial t of every figure
+// runs before trial t+1 of any. The speed of a shared host wanders by tens
+// of percent over seconds, so back-to-back trials of one figure would
+// measure one moment of it; interleaved, a slow spell lands on all the
+// figures of a section alike.
+std::vector<Timing> TimeInterleaved(const std::vector<Timed>& figures,
+                                    int trials) {
+  std::vector<std::vector<double>> samples(figures.size());
+  for (int t = 0; t < trials; ++t) {
+    for (size_t i = 0; i < figures.size(); ++i) {
+      figures[i].prepare();
+      samples[i].push_back(TimeMs(figures[i].run));
+    }
+  }
+  return std::vector<Timing>(samples.begin(), samples.end());
+}
+
+// `"key": median, "key_range": [min, max]` for the JSON record.
+std::string TimingJson(const std::string& key, const Timing& t, int digits) {
+  char buf[160];
+  std::snprintf(buf, sizeof(buf), "\"%s\": %.*f, \"%s_range\": [%.*f, %.*f]",
+                key.c_str(), digits, t.median, key.c_str(), digits, t.min,
+                digits, t.max);
+  return buf;
+}
+
+bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
+  if (a.size() != b.size()) return false;
+  return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+bool SameBits(const FwdBwdResult& a, const FwdBwdResult& b) {
+  if (!SameBits(a.out, b.out) || a.grads.size() != b.grads.size()) {
+    return false;
+  }
+  for (size_t i = 0; i < a.grads.size(); ++i) {
+    if (!SameBits(a.grads[i], b.grads[i])) return false;
+  }
+  return true;
+}
+
 // ----- Scalar vs SIMD sweep ------------------------------------------------
 
 // Single-thread forward timings of the dispatched kernels with the SIMD
@@ -173,11 +285,102 @@ std::vector<SweepOp> MakeSweepOps() {
 // contract).
 struct SimdRow {
   std::string op, workload;
-  double scalar_ms = 0.0, simd_ms = 0.0;
+  Timing scalar_ms, simd_ms;
   bool simd_bitwise_equal = false;
+  int64_t samples = 0;  // FrozenEncode rows: samples per iteration
 };
 
-std::vector<SimdRow> RunSimdSweep();  // defined after TimeMs/SameBits
+// The kernels, then FrozenEncoder::Encode (24 tokens, dim 32) at batch 1,
+// 32 and 64, which BENCH_tensor.json also reports per sample.
+std::vector<SimdRow> RunSimdSweep(const text::FrozenEncoder& encoder,
+                                  int trials) {
+  struct Item {
+    std::string name, workload;
+    std::function<Tensor()> forward;
+    int64_t samples = 0;
+  };
+  std::vector<Item> items;
+  {
+    Tensor a = RandomTensor({128, 128}, 30);
+    Tensor b = RandomTensor({128, 128}, 31);
+    items.push_back({"MatMul", "a[128,128] @ b[128,128]",
+                     [a, b] { return tensor::MatMul(a, b); }});
+  }
+  {
+    // Serving-shaped: one coalesced micro-batch through a hidden layer.
+    Tensor a = RandomTensor({16, 64}, 32);
+    Tensor b = RandomTensor({64, 64}, 33);
+    items.push_back({"MatMul_serve", "a[16,64] @ b[64,64]",
+                     [a, b] { return tensor::MatMul(a, b); }});
+  }
+  {
+    Tensor x = RandomTensor({128, 64}, 34);
+    Tensor w = RandomTensor({64, 64}, 35);
+    Tensor b = RandomTensor({64}, 36);
+    items.push_back({"LinearRelu", "relu(x[128,64] @ w[64,64] + b)",
+                     [x, w, b] { return tensor::LinearRelu(x, w, b); }});
+  }
+  {
+    Tensor x = RandomTensor({256, 64}, 37);
+    items.push_back({"Softmax", "x[256,64]",
+                     [x] { return tensor::Softmax(x); }});
+  }
+  {
+    Tensor table = RandomTensor({5000, 64}, 38);
+    Rng rng(39);
+    std::vector<int> ids(32 * 24);
+    for (auto& id : ids) id = static_cast<int>(rng.UniformInt(5000));
+    items.push_back({"EmbeddingGather", "table[5000,64], ids[32*24]",
+                     [table, ids] {
+                       return tensor::EmbeddingGather(table, ids, 32, 24);
+                     }});
+  }
+  for (const int64_t batch : {1, 32, 64}) {
+    Rng rng(60 + static_cast<uint64_t>(batch));
+    std::vector<int> ids(batch * 24);
+    for (auto& id : ids) id = static_cast<int>(rng.UniformInt(1000));
+    items.push_back({"FrozenEncode_b" + std::to_string(batch),
+                     "ids[" + std::to_string(batch) + "*24], dim 32",
+                     [&encoder, ids, batch] {
+                       return encoder.Encode(ids, batch, 24);
+                     },
+                     batch});
+  }
+
+  const bool saved_simd = tensor::SimdEnabled();
+  SetNumThreads(1);
+  tensor::NoGradGuard no_grad;
+  std::vector<SimdRow> rows;
+  std::vector<Timed> figures;
+  for (const Item& item : items) {
+    SimdRow row;
+    row.op = item.name;
+    row.workload = item.workload;
+    row.samples = item.samples;
+    tensor::SetSimdEnabled(false);
+    const std::vector<float> scalar_out = item.forward().ToVector();
+    tensor::SetSimdEnabled(true);
+    row.simd_bitwise_equal = SameBits(scalar_out, item.forward().ToVector());
+    rows.push_back(std::move(row));
+    for (const bool simd : {false, true}) {
+      figures.push_back({[simd] { tensor::SetSimdEnabled(simd); },
+                         [&item] { item.forward(); }});
+    }
+  }
+  const std::vector<Timing> timings = TimeInterleaved(figures, trials);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    SimdRow& row = rows[i];
+    row.scalar_ms = timings[2 * i];
+    row.simd_ms = timings[2 * i + 1];
+    std::printf(
+        "%-16s %-28s scalar %8.4f ms  simd %8.4f ms (%.2fx, %s)\n",
+        row.op.c_str(), row.workload.c_str(), row.scalar_ms.median,
+        row.simd_ms.median, MedianRatio(row.scalar_ms, row.simd_ms),
+        row.simd_bitwise_equal ? "bitwise==scalar" : "MISMATCH");
+  }
+  tensor::SetSimdEnabled(saved_simd);
+  return rows;
+}
 
 // ----- Training-step graph statistics --------------------------------------
 
@@ -245,16 +448,18 @@ std::vector<StepReport> RunTrainingStepStats(
     loss.Backward();
   };
 
-  // The DTDBD step: frozen teacher forward, student forward, then
-  // CE + domain-knowledge KL + adversarial-debias KL (Eq. 6/12 and 5).
-  const auto dtdbd_step = [&] {
+  // The DTDBD step: student forward, then CE + domain-knowledge KL +
+  // adversarial-debias KL (Eq. 6/12 and 5) against frozen teacher outputs.
+  // TrainDtdbd computes those once per call (TeacherRows), so the teacher
+  // forward is not part of the step.
+  models::ModelOutput t_out;
+  {
     auto teacher = models::CreateModel("MDFEND", config);
+    tensor::NoGradGuard no_grad;
+    t_out = teacher->Forward(batch, /*training=*/false);
+  }
+  const auto dtdbd_step = [&] {
     auto student = models::CreateModel("TextCNN-S", config);
-    models::ModelOutput t_out;
-    {
-      tensor::NoGradGuard no_grad;
-      t_out = teacher->Forward(batch, /*training=*/false);
-    }
     models::ModelOutput s_out = student->Forward(batch, /*training=*/true);
     Tensor loss = tensor::Add(
         tensor::CrossEntropyLoss(s_out.logits, batch.labels),
@@ -295,117 +500,13 @@ std::vector<StepReport> RunTrainingStepStats(
   return reports;
 }
 
-// Wall-clock ms per iteration; repeats until >= 60 ms of work was measured.
-template <typename Fn>
-double TimeMs(const Fn& fn, int warmup = 2) {
-  for (int i = 0; i < warmup; ++i) fn();
-  using clock = std::chrono::steady_clock;
-  int iters = 0;
-  const auto start = clock::now();
-  double elapsed_ms = 0.0;
-  do {
-    fn();
-    ++iters;
-    elapsed_ms = std::chrono::duration<double, std::milli>(clock::now() -
-                                                           start)
-                     .count();
-  } while (elapsed_ms < 60.0 && iters < 10000);
-  return elapsed_ms / iters;
-}
-
-bool SameBits(const std::vector<float>& a, const std::vector<float>& b) {
-  if (a.size() != b.size()) return false;
-  return std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
-}
-
-bool SameBits(const FwdBwdResult& a, const FwdBwdResult& b) {
-  if (!SameBits(a.out, b.out) || a.grads.size() != b.grads.size()) {
-    return false;
-  }
-  for (size_t i = 0; i < a.grads.size(); ++i) {
-    if (!SameBits(a.grads[i], b.grads[i])) return false;
-  }
-  return true;
-}
-
-std::vector<SimdRow> RunSimdSweep() {
-  struct Item {
-    std::string name, workload;
-    std::function<Tensor()> forward;
-  };
-  std::vector<Item> items;
-  {
-    Tensor a = RandomTensor({128, 128}, 30);
-    Tensor b = RandomTensor({128, 128}, 31);
-    items.push_back({"MatMul", "a[128,128] @ b[128,128]",
-                     [a, b] { return tensor::MatMul(a, b); }});
-  }
-  {
-    // Serving-shaped: one coalesced micro-batch through a hidden layer.
-    Tensor a = RandomTensor({16, 64}, 32);
-    Tensor b = RandomTensor({64, 64}, 33);
-    items.push_back({"MatMul_serve", "a[16,64] @ b[64,64]",
-                     [a, b] { return tensor::MatMul(a, b); }});
-  }
-  {
-    Tensor x = RandomTensor({128, 64}, 34);
-    Tensor w = RandomTensor({64, 64}, 35);
-    Tensor b = RandomTensor({64}, 36);
-    items.push_back({"LinearRelu", "relu(x[128,64] @ w[64,64] + b)",
-                     [x, w, b] { return tensor::LinearRelu(x, w, b); }});
-  }
-  {
-    Tensor x = RandomTensor({256, 64}, 37);
-    items.push_back({"Softmax", "x[256,64]",
-                     [x] { return tensor::Softmax(x); }});
-  }
-  {
-    Tensor table = RandomTensor({5000, 64}, 38);
-    Rng rng(39);
-    std::vector<int> ids(32 * 24);
-    for (auto& id : ids) id = static_cast<int>(rng.UniformInt(5000));
-    items.push_back({"EmbeddingGather", "table[5000,64], ids[32*24]",
-                     [table, ids] {
-                       return tensor::EmbeddingGather(table, ids, 32, 24);
-                     }});
-  }
-
-  const bool saved_simd = tensor::SimdEnabled();
-  SetNumThreads(1);
-  std::vector<SimdRow> rows;
-  for (const Item& item : items) {
-    tensor::NoGradGuard no_grad;
-    SimdRow row;
-    row.op = item.name;
-    row.workload = item.workload;
-
-    tensor::SetSimdEnabled(false);
-    const std::vector<float> scalar_out = item.forward().ToVector();
-    row.scalar_ms = TimeMs([&] { item.forward(); });
-
-    tensor::SetSimdEnabled(true);
-    const std::vector<float> simd_out = item.forward().ToVector();
-    row.simd_bitwise_equal = SameBits(scalar_out, simd_out);
-    row.simd_ms = TimeMs([&] { item.forward(); });
-
-    std::printf(
-        "%-16s %-28s scalar %8.4f ms  simd %8.4f ms (%.2fx, %s)\n",
-        row.op.c_str(), row.workload.c_str(), row.scalar_ms, row.simd_ms,
-        row.simd_ms > 0 ? row.scalar_ms / row.simd_ms : 0.0,
-        row.simd_bitwise_equal ? "bitwise==scalar" : "MISMATCH");
-    rows.push_back(std::move(row));
-  }
-  tensor::SetSimdEnabled(saved_simd);
-  return rows;
-}
-
 // ----- Serving forward per zoo model ---------------------------------------
 
 struct ServingRow {
   std::string model;
   bool fused = false;
-  double b1_us = 0.0;
-  double b8_us_per_request = 0.0;
+  Timing b1_us;              // per request
+  Timing b8_us_per_request;
   StepStats per_request;  // one batch-of-one forward
   bool bitwise_equal_to_unfused = false;
 };
@@ -414,7 +515,8 @@ struct ServingRow {
 // of InferenceSession::PredictBatch) at batch 1 and 8, fusion off (the
 // unrolled recurrences) and on, 1 kernel thread. Shapes are the serving
 // defaults: encoder dim 32, seq_len 24, rnn_hidden 32, 4 experts.
-std::vector<ServingRow> RunServingForward(const text::FrozenEncoder& encoder) {
+std::vector<ServingRow> RunServingForward(const text::FrozenEncoder& encoder,
+                                          int trials) {
   models::ModelConfig config;
   config.vocab_size = 1000;
   config.num_domains = 3;
@@ -423,10 +525,13 @@ std::vector<ServingRow> RunServingForward(const text::FrozenEncoder& encoder) {
   const data::Batch eight = MakeSyntheticBatch(config.vocab_size, 8);
   const bool saved_fusion = tensor::FusionEnabled();
   SetNumThreads(1);
+  std::vector<std::unique_ptr<models::FakeNewsModel>> zoo;
   std::vector<ServingRow> rows;
+  std::vector<Timed> figures;
   for (const std::string& name : models::AllModelNames()) {
-    auto model = models::CreateModel(name, config);
-    const auto predict = [&](const data::Batch& batch) {
+    zoo.push_back(models::CreateModel(name, config));
+    models::FakeNewsModel* model = zoo.back().get();
+    const auto predict = [model](const data::Batch& batch) {
       tensor::NoGradGuard no_grad;
       return tensor::Softmax(model->Forward(batch, /*training=*/false).logits)
           .ToVector();
@@ -446,19 +551,26 @@ std::vector<ServingRow> RunServingForward(const text::FrozenEncoder& encoder) {
       row.bitwise_equal_to_unfused =
           SameBits(p_one, unfused_one) && SameBits(p_eight, unfused_eight);
       row.per_request = MeasureStep([&] { predict(one); }, fused);
-      row.b1_us = 1000.0 * TimeMs([&] { predict(one); });
-      row.b8_us_per_request = 1000.0 * TimeMs([&] { predict(eight); }) / 8;
-      std::printf(
-          "%-12s %-7s b1 %8.1f us  b8 %8.1f us/req  %5llu nodes %5llu "
-          "allocs %7.1f KiB per request  %s\n",
-          name.c_str(), fused ? "fused" : "unfused", row.b1_us,
-          row.b8_us_per_request,
-          static_cast<unsigned long long>(row.per_request.nodes),
-          static_cast<unsigned long long>(row.per_request.allocs),
-          row.per_request.bytes / 1024.0,
-          row.bitwise_equal_to_unfused ? "bitwise==unfused" : "MISMATCH");
       rows.push_back(std::move(row));
+      const auto pin = [fused] { tensor::SetFusionEnabled(fused); };
+      figures.push_back({pin, [predict, &one] { predict(one); }});
+      figures.push_back({pin, [predict, &eight] { predict(eight); }});
     }
+  }
+  const std::vector<Timing> timings = TimeInterleaved(figures, trials);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    ServingRow& row = rows[i];
+    row.b1_us = timings[2 * i].Scaled(1000.0);
+    row.b8_us_per_request = timings[2 * i + 1].Scaled(1000.0 / 8);
+    std::printf(
+        "%-12s %-7s b1 %8.1f us [%.1f, %.1f]  b8 %8.1f us/req  %5llu nodes "
+        "%5llu allocs %7.1f KiB per request  %s\n",
+        row.model.c_str(), row.fused ? "fused" : "unfused", row.b1_us.median,
+        row.b1_us.min, row.b1_us.max, row.b8_us_per_request.median,
+        static_cast<unsigned long long>(row.per_request.nodes),
+        static_cast<unsigned long long>(row.per_request.allocs),
+        row.per_request.bytes / 1024.0,
+        row.bitwise_equal_to_unfused ? "bitwise==unfused" : "MISMATCH");
   }
   tensor::SetFusionEnabled(saved_fusion);
   return rows;
@@ -481,18 +593,25 @@ int RunSweep(const FlagParser& flags) {
   const std::vector<int> thread_counts =
       ParseThreadList(flags.GetString("sweep-threads", "1,2,4,8"));
   const std::string json_path = flags.GetString("json", "BENCH_tensor.json");
+  const int trials = flags.GetInt("trials", 5);
+  if (trials < 1) {
+    std::fprintf(stderr, "--trials must be at least 1\n");
+    return 1;
+  }
   const unsigned hw = std::thread::hardware_concurrency();
 
   struct Row {
     std::string op, workload;
     int threads;
-    double fwd_ms, fwd_bwd_ms;
+    Timing fwd_ms, fwd_bwd_ms;
     bool bitwise_equal;
   };
   std::vector<Row> rows;
   bool all_equal = true;
 
-  for (const SweepOp& op : MakeSweepOps()) {
+  const std::vector<SweepOp> sweep_ops = MakeSweepOps();
+  std::vector<Timed> figures;
+  for (const SweepOp& op : sweep_ops) {
     // Reference results at 1 thread; every other count must match bitwise.
     SetNumThreads(1);
     std::vector<float> ref_out;
@@ -511,31 +630,40 @@ int RunSweep(const FlagParser& flags) {
       }
       const bool equal = SameBits(out, ref_out) && SameBits(op.fwd_bwd(), ref);
       all_equal = all_equal && equal;
-
-      double fwd_ms;
-      {
-        tensor::NoGradGuard no_grad;
-        fwd_ms = TimeMs([&] { op.forward(); });
-      }
-      const double fwd_bwd_ms = TimeMs([&] { op.fwd_bwd(); });
-      rows.push_back({op.name, op.workload, t, fwd_ms, fwd_bwd_ms, equal});
-      std::printf("%-16s %-28s threads=%d  fwd %8.4f ms  fwd+bwd %8.4f ms  %s\n",
-                  op.name.c_str(), op.workload.c_str(), t, fwd_ms, fwd_bwd_ms,
-                  equal ? "bitwise==t1" : "MISMATCH");
+      rows.push_back({op.name, op.workload, t, {}, {}, equal});
+      const auto pin = [t] { SetNumThreads(t); };
+      figures.push_back({pin, [&op] {
+                           tensor::NoGradGuard no_grad;
+                           op.forward();
+                         }});
+      figures.push_back({pin, [&op] { op.fwd_bwd(); }});
     }
+  }
+  const std::vector<Timing> timings = TimeInterleaved(figures, trials);
+  for (size_t i = 0; i < rows.size(); ++i) {
+    Row& r = rows[i];
+    r.fwd_ms = timings[2 * i];
+    r.fwd_bwd_ms = timings[2 * i + 1];
+    std::printf("%-16s %-28s threads=%d  fwd %8.4f ms  fwd+bwd %8.4f ms  %s\n",
+                r.op.c_str(), r.workload.c_str(), r.threads, r.fwd_ms.median,
+                r.fwd_bwd_ms.median,
+                r.bitwise_equal ? "bitwise==t1" : "MISMATCH");
   }
   SetNumThreads(1);
 
   // Scalar vs SIMD single-thread forward sweep (DESIGN.md §8).
-  const std::vector<SimdRow> simd_rows = RunSimdSweep();
+  const text::FrozenEncoder encoder(1000, 32, 14);
+  const std::vector<SimdRow> simd_rows = RunSimdSweep(encoder, trials);
+  for (const SimdRow& r : simd_rows) {
+    all_equal = all_equal && r.simd_bitwise_equal;
+  }
 
   // Per-step graph statistics: fused vs DTDBD_NO_FUSION node/alloc/byte
   // counts for one MDFEND training step and one DTDBD distillation step.
-  const text::FrozenEncoder encoder(1000, 32, 14);
   const std::vector<StepReport> steps = RunTrainingStepStats(encoder);
 
   // Batch-of-one / batch-of-8 forward cost per zoo model, fused vs not.
-  const std::vector<ServingRow> serving = RunServingForward(encoder);
+  const std::vector<ServingRow> serving = RunServingForward(encoder, trials);
   for (const ServingRow& r : serving) {
     all_equal = all_equal && r.bitwise_equal_to_unfused;
   }
@@ -546,23 +674,34 @@ int RunSweep(const FlagParser& flags) {
   json += "{\n";
   json += "  \"bench\": \"tensor_substrate_thread_sweep\",\n";
   json += "  \"hardware_concurrency\": " + std::to_string(hw) + ",\n";
+  json += std::string("  \"host\": {\"nproc\": ") + std::to_string(hw) +
+          ", \"avx512f\": " +
+          (__builtin_cpu_supports("avx512f") ? "true" : "false") +
+          ", \"simd_enabled\": " +
+          (tensor::SimdEnabled() ? "true" : "false") +
+          ", \"build_type\": \"" + DTDBD_BENCH_BUILD_TYPE + "\"},\n";
+  json += "  \"trials\": " + std::to_string(trials) + ",\n";
   json +=
       "  \"note\": \"static-partition deterministic backend; results "
       "are bitwise identical across thread counts. Wall-clock "
       "speedup requires hardware_concurrency > 1; on a 1-CPU host "
-      "the extra thread counts measure scheduling overhead only.\",\n";
+      "the extra thread counts measure scheduling overhead only. Each "
+      "timing is the median over the trials, run interleaved, with its "
+      "[min, max] in the matching _range key; simd_speedup is the median "
+      "of the per-trial scalar/simd ratios.\",\n";
   json += std::string("  \"all_bitwise_equal\": ") +
           (all_equal ? "true" : "false") + ",\n";
   json += "  \"results\": [\n";
-  char line[512];
+  char line[768];
   for (size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     std::snprintf(line, sizeof(line),
                   "    {\"op\": \"%s\", \"workload\": \"%s\", \"threads\": %d, "
-                  "\"fwd_ms_per_iter\": %.6f, \"fwd_bwd_ms_per_iter\": %.6f, "
-                  "\"bitwise_equal_to_1_thread\": %s}%s\n",
-                  r.op.c_str(), r.workload.c_str(), r.threads, r.fwd_ms,
-                  r.fwd_bwd_ms, r.bitwise_equal ? "true" : "false",
+                  "%s, %s, \"bitwise_equal_to_1_thread\": %s}%s\n",
+                  r.op.c_str(), r.workload.c_str(), r.threads,
+                  TimingJson("fwd_ms_per_iter", r.fwd_ms, 6).c_str(),
+                  TimingJson("fwd_bwd_ms_per_iter", r.fwd_bwd_ms, 6).c_str(),
+                  r.bitwise_equal ? "true" : "false",
                   i + 1 == rows.size() ? "" : ",");
     json += line;
   }
@@ -571,16 +710,35 @@ int RunSweep(const FlagParser& flags) {
   for (size_t i = 0; i < simd_rows.size(); ++i) {
     const SimdRow& r = simd_rows[i];
     std::snprintf(line, sizeof(line),
-                  "    {\"op\": \"%s\", \"workload\": \"%s\", "
-                  "\"scalar_fwd_ms\": %.6f, \"simd_fwd_ms\": %.6f, "
+                  "    {\"op\": \"%s\", \"workload\": \"%s\", %s, %s, "
                   "\"simd_speedup\": %.2f, \"simd_bitwise_equal\": %s}%s\n",
-                  r.op.c_str(), r.workload.c_str(), r.scalar_ms, r.simd_ms,
-                  r.simd_ms > 0 ? r.scalar_ms / r.simd_ms : 0.0,
+                  r.op.c_str(), r.workload.c_str(),
+                  TimingJson("scalar_fwd_ms", r.scalar_ms, 6).c_str(),
+                  TimingJson("simd_fwd_ms", r.simd_ms, 6).c_str(),
+                  MedianRatio(r.scalar_ms, r.simd_ms),
                   r.simd_bitwise_equal ? "true" : "false",
                   i + 1 == simd_rows.size() ? "" : ",");
     json += line;
   }
   json += "  ],\n";
+  json += "  \"frozen_encode\": [\n";
+  std::string sep;
+  for (const SimdRow& r : simd_rows) {
+    if (r.samples == 0) continue;
+    const double us = 1000.0 / static_cast<double>(r.samples);
+    std::snprintf(line, sizeof(line),
+                  "%s    {\"batch\": %lld, \"seq_len\": 24, \"dim\": 32, "
+                  "%s, %s, \"simd_bitwise_equal\": %s}",
+                  sep.c_str(), static_cast<long long>(r.samples),
+                  TimingJson("scalar_us_per_sample", r.scalar_ms.Scaled(us), 2)
+                      .c_str(),
+                  TimingJson("simd_us_per_sample", r.simd_ms.Scaled(us), 2)
+                      .c_str(),
+                  r.simd_bitwise_equal ? "true" : "false");
+    json += line;
+    sep = ",\n";
+  }
+  json += "\n  ],\n";
   json += "  \"training_steps\": [\n";
   for (size_t i = 0; i < steps.size(); ++i) {
     const StepReport& s = steps[i];
@@ -607,12 +765,12 @@ int RunSweep(const FlagParser& flags) {
     const ServingRow& r = serving[i];
     std::snprintf(
         line, sizeof(line),
-        "    {\"model\": \"%s\", \"fused\": %s, \"b1_us_per_request\": "
-        "%.1f, \"b8_us_per_request\": %.1f, \"nodes_per_request\": %llu, "
-        "\"allocs_per_request\": %llu, \"bytes_per_request\": %llu, "
-        "\"bitwise_equal_to_unfused\": %s}%s\n",
-        r.model.c_str(), r.fused ? "true" : "false", r.b1_us,
-        r.b8_us_per_request,
+        "    {\"model\": \"%s\", \"fused\": %s, %s, %s, "
+        "\"nodes_per_request\": %llu, \"allocs_per_request\": %llu, "
+        "\"bytes_per_request\": %llu, \"bitwise_equal_to_unfused\": %s}%s\n",
+        r.model.c_str(), r.fused ? "true" : "false",
+        TimingJson("b1_us_per_request", r.b1_us, 1).c_str(),
+        TimingJson("b8_us_per_request", r.b8_us_per_request, 1).c_str(),
         static_cast<unsigned long long>(r.per_request.nodes),
         static_cast<unsigned long long>(r.per_request.allocs),
         static_cast<unsigned long long>(r.per_request.bytes),

@@ -95,6 +95,10 @@ class DataLoader {
   Status SetState(const State& state);
 
   int64_t num_batches() const;
+  // Dataset indices of batch `index` in the current epoch's order; the last
+  // batch is short when the batch size does not divide the dataset.
+  std::vector<int64_t> BatchIndices(int64_t index) const;
+  // MakeBatch over BatchIndices(index).
   Batch GetBatch(int64_t index) const;
 
  private:

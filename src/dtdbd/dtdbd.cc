@@ -1,6 +1,8 @@
 #include "dtdbd/dtdbd.h"
 
+#include <algorithm>
 #include <map>
+#include <optional>
 
 #include "common/logging.h"
 #include "dtdbd/distill.h"
@@ -12,6 +14,42 @@
 namespace dtdbd {
 
 using tensor::Tensor;
+
+TeacherRows::TeacherRows(models::FakeNewsModel* teacher,
+                         Tensor models::ModelOutput::*field,
+                         const data::NewsDataset& dataset,
+                         int64_t batch_size) {
+  DTDBD_CHECK(teacher != nullptr);
+  tensor::NoGradGuard no_grad;
+  const data::DataLoader loader(&dataset, batch_size, /*shuffle=*/false, 0);
+  for (int64_t b = 0; b < loader.num_batches(); ++b) {
+    const Tensor out =
+        (teacher->Forward(loader.GetBatch(b), /*training=*/false).*field)
+            .Contiguous();
+    DTDBD_CHECK_EQ(out.ndim(), 2);
+    if (b == 0) {
+      width_ = out.dim(1);
+      rows_.resize(static_cast<size_t>(dataset.size() * width_));
+    }
+    DTDBD_CHECK_EQ(out.dim(1), width_);
+    const float* src = out.data().data();
+    std::copy(src, src + out.numel(),
+              rows_.begin() + b * batch_size * width_);
+  }
+}
+
+Tensor TeacherRows::Gather(const std::vector<int64_t>& indices) const {
+  std::vector<float> out(indices.size() * static_cast<size_t>(width_));
+  for (size_t i = 0; i < indices.size(); ++i) {
+    DTDBD_CHECK_GE(indices[i], 0);
+    DTDBD_CHECK_LE((indices[i] + 1) * width_,
+                   static_cast<int64_t>(rows_.size()));
+    std::copy_n(rows_.begin() + indices[i] * width_, width_,
+                out.begin() + static_cast<int64_t>(i) * width_);
+  }
+  return Tensor::FromData({static_cast<int64_t>(indices.size()), width_},
+                          std::move(out));
+}
 
 DtdbdResult TrainDtdbd(models::FakeNewsModel* student,
                        models::FakeNewsModel* unbiased_teacher,
@@ -100,6 +138,19 @@ DtdbdResult TrainDtdbd(models::FakeNewsModel* student,
     return state;
   };
 
+  // Frozen teachers: their outputs are computed once and each step gathers
+  // its batch's rows. Rollback and resume restore the loader, whose order
+  // names the rows.
+  std::optional<TeacherRows> teacher_features, teacher_logits;
+  if (options.use_add) {
+    teacher_features.emplace(unbiased_teacher, &models::ModelOutput::features,
+                             train, options.batch_size);
+  }
+  if (options.use_dkd) {
+    teacher_logits.emplace(clean_teacher, &models::ModelOutput::logits, train,
+                           options.batch_size);
+  }
+
   train::TrainingGuard guard(options.guard);
   train::CheckpointState last_good = capture(epoch);
   int64_t global_step = static_cast<int64_t>(epoch) * loader.num_batches();
@@ -118,21 +169,8 @@ DtdbdResult TrainDtdbd(models::FakeNewsModel* student,
                              std::to_string(global_step));
         return result;
       }
-      const data::Batch batch = loader.GetBatch(b);
-
-      // Teachers run without autograd: they are frozen knowledge sources.
-      Tensor teacher_features, teacher_logits;
-      {
-        tensor::NoGradGuard no_grad;
-        if (options.use_add) {
-          teacher_features =
-              unbiased_teacher->Forward(batch, /*training=*/false).features;
-        }
-        if (options.use_dkd) {
-          teacher_logits =
-              clean_teacher->Forward(batch, /*training=*/false).logits;
-        }
-      }
+      const std::vector<int64_t> indices = loader.BatchIndices(b);
+      const data::Batch batch = data::MakeBatch(train, indices);
 
       models::ModelOutput out = student->Forward(batch, /*training=*/true);
       Tensor l_ce = tensor::CrossEntropyLoss(out.logits, batch.labels);
@@ -140,16 +178,16 @@ DtdbdResult TrainDtdbd(models::FakeNewsModel* student,
       double batch_add = 0.0, batch_dkd = 0.0;
       if (options.use_add) {
         Tensor l_add = tensor::ScalarMul(
-            AdversarialDebiasDistillLoss(teacher_features, out.features,
-                                         options.tau),
+            AdversarialDebiasDistillLoss(teacher_features->Gather(indices),
+                                         out.features, options.tau),
             options.add_loss_scale);
         batch_add = l_add.item();
         loss = tensor::Add(loss,
                            tensor::ScalarMul(l_add, static_cast<float>(w_add)));
       }
       if (options.use_dkd) {
-        Tensor l_dkd = DomainKnowledgeDistillLoss(teacher_logits, out.logits,
-                                                  options.tau);
+        Tensor l_dkd = DomainKnowledgeDistillLoss(
+            teacher_logits->Gather(indices), out.logits, options.tau);
         batch_dkd = l_dkd.item();
         loss = tensor::Add(loss,
                            tensor::ScalarMul(l_dkd, static_cast<float>(w_dkd)));

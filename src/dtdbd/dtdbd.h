@@ -74,10 +74,35 @@ struct DtdbdResult {
   std::vector<double> w_add_per_epoch;  // weight in effect during epoch r
 };
 
+// One frozen teacher's output for every sample of a dataset, computed once.
+// A frozen teacher in eval mode draws no dropout mask and writes no memory
+// bank, and every op is batch-invariant, so a sample's output row has the
+// same bits whichever batch carries it: Gather over a batch's indices
+// equals the teacher's Forward on that batch (DESIGN.md §14).
+class TeacherRows {
+ public:
+  // Runs `teacher` without autograd over `dataset` in index order,
+  // `batch_size` samples at a time, and keeps the [N, width] output
+  // `field` (&models::ModelOutput::features or ::logits) in one buffer.
+  TeacherRows(models::FakeNewsModel* teacher,
+              tensor::Tensor models::ModelOutput::*field,
+              const data::NewsDataset& dataset, int64_t batch_size);
+
+  // The rows of dataset `indices`, in order: [indices.size(), width].
+  tensor::Tensor Gather(const std::vector<int64_t>& indices) const;
+
+  int64_t width() const { return width_; }
+
+ private:
+  int64_t width_ = 0;
+  std::vector<float> rows_;  // [N, width], row i = sample i
+};
+
 // Trains `student` in place. Both teachers must already be trained; their
 // parameters are frozen for the duration of the call (and left frozen, as
-// in the paper). Either teacher may be null when the corresponding loss is
-// disabled by the ablation flags.
+// in the paper), and each runs once over `train` (TeacherRows). Either
+// teacher may be null when the corresponding loss is disabled by the
+// ablation flags.
 DtdbdResult TrainDtdbd(models::FakeNewsModel* student,
                        models::FakeNewsModel* unbiased_teacher,
                        models::FakeNewsModel* clean_teacher,

@@ -319,6 +319,28 @@ __attribute__((target("avx512f"))) void LayerNormRowAvx512(
     o[j] = pg[j] * h + pbeta[j];
   }
 }
+
+// AffineRow with one lane per output: each lane keeps its running sum in a
+// register from b[j] and adds x[kk] * w[kk, j] for kk ascending. The tail
+// lanes of a width that is not a multiple of 16 run masked.
+__attribute__((target("avx512f"))) void AffineRowAvx512(const float* x,
+                                                        const float* w,
+                                                        const float* b,
+                                                        int64_t k, int64_t n,
+                                                        float* out) {
+  for (int64_t j = 0; j < n; j += 16) {
+    const __mmask16 lanes =
+        n - j >= 16 ? __mmask16{0xFFFF}
+                    : static_cast<__mmask16>((1u << (n - j)) - 1u);
+    __m512 acc = _mm512_maskz_loadu_ps(lanes, b + j);
+    for (int64_t kk = 0; kk < k; ++kk) {
+      acc = _mm512_add_ps(
+          acc, _mm512_mul_ps(_mm512_set1_ps(x[kk]),
+                             _mm512_maskz_loadu_ps(lanes, w + kk * n + j)));
+    }
+    _mm512_mask_storeu_ps(out + j, lanes, acc);
+  }
+}
 #else
 inline bool UseAvx512() { return false; }
 #endif  // x86_64
@@ -1905,6 +1927,22 @@ Status ValidateTokenIds(const std::vector<int>& ids, int64_t vocab_size) {
     }
   }
   return Status::Ok();
+}
+
+void AffineRow(const float* x, const float* w, const float* b, int64_t k,
+               int64_t n, float* out) {
+#ifdef DTDBD_SIMD_AVX512
+  if (UseAvx512()) {
+    AffineRowAvx512(x, w, b, k, n, out);
+    return;
+  }
+#endif
+  for (int64_t j = 0; j < n; ++j) out[j] = b[j];
+  for (int64_t kk = 0; kk < k; ++kk) {
+    const float xk = x[kk];
+    const float* wrow = w + kk * n;
+    for (int64_t j = 0; j < n; ++j) out[j] += xk * wrow[j];
+  }
 }
 
 Tensor EmbeddingGather(const Tensor& table_in, const std::vector<int>& ids,

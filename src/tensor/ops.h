@@ -81,6 +81,15 @@ Status ValidateTokenIds(const std::vector<int>& ids, int64_t vocab_size);
 Tensor EmbeddingGather(const Tensor& table, const std::vector<int>& ids,
                        int64_t batch, int64_t time);
 
+// ----- Raw-buffer affine row (FrozenEncoder's mixing layer) -----
+// out[j] = b[j] + x[0]*w[j] + x[1]*w[n+j] + ... for j in [0, n), w
+// row-major [k, n]: every product is added (no zero skip), kk ascending
+// from b[j] — the chain of a j-outer/kk-inner dot product. The AVX-512
+// path (when SimdEnabled()) runs one lane per output and is bitwise equal
+// to the scalar loop. Records no graph node; `out` must not alias inputs.
+void AffineRow(const float* x, const float* w, const float* b, int64_t k,
+               int64_t n, float* out);
+
 // ----- Convolution over a token sequence (TextCNN) -----
 // x[B,T,E], weight[C, k*E], bias[C], kernel width k; returns [B, T-k+1, C].
 Tensor Conv1dSeq(const Tensor& x, const Tensor& weight, const Tensor& bias,

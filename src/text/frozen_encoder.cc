@@ -69,13 +69,8 @@ Tensor FrozenEncoder::Encode(const std::vector<int>& ids, int64_t batch,
         for (int64_t j = 0; j < dim_; ++j) cat[dim_ + j] *= inv;
       }
       float* orow = out.data() + (bi * time + ti) * dim_;
-      for (int64_t j = 0; j < dim_; ++j) {
-        float acc = b[j];
-        for (int64_t k = 0; k < 2 * dim_; ++k) {
-          acc += cat[k] * w[k * dim_ + j];
-        }
-        orow[j] = std::tanh(acc);
-      }
+      tensor::AffineRow(cat.data(), w, b, 2 * dim_, dim_, orow);
+      for (int64_t j = 0; j < dim_; ++j) orow[j] = std::tanh(orow[j]);
     }
   }
   return tensor::MakeOp(kFrozenEncode, {batch, time, dim_}, std::move(out),

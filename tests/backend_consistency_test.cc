@@ -6,6 +6,7 @@
 //
 // A coverage assertion walks OpRegistry::All() and fails when a newly
 // registered op has no consistency case here.
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <set>
@@ -359,6 +360,131 @@ TEST_F(BackendConsistencyTest, DropoutMaskIndependentOfThreadCount) {
         << "threads=" << threads;
     EXPECT_TRUE(BitwiseEqual(serial.second, parallel.second))
         << "threads=" << threads;
+  }
+}
+
+// ----- FrozenEncoder mixing layer: lane per output -----
+//
+// FrozenEncoder once computed each output as one serial dot product, j
+// outer and k inner. Encode now runs AffineRow, which sweeps k outer over
+// a row of outputs. ReferenceEncode is the old Encode copied verbatim,
+// over weights drawn the way the FrozenEncoder constructor draws them, so
+// the tests below pin the new kernel to the old chain bit for bit.
+
+// out = tanh(W [e_t ; ctx_t] + b) with the j-outer/k-inner loop.
+std::vector<float> ReferenceEncode(int vocab, int64_t dim, uint64_t seed,
+                                   const std::vector<int>& ids, int64_t batch,
+                                   int64_t time) {
+  Rng rng(seed);
+  const Tensor table = NormalInit({vocab, dim}, 0.5f, &rng, false);
+  const Tensor mix_w = XavierInit({2 * dim, dim}, 2 * dim, dim, &rng, false);
+  const Tensor mix_b = UniformInit({dim}, 0.1f, &rng, false);
+  const int64_t dim_ = dim;
+  std::vector<float> out(static_cast<size_t>(batch * time * dim_));
+  const float* tab = table.data().data();
+  const float* w = mix_w.data().data();
+  const float* b = mix_b.data().data();
+  std::vector<float> cat(2 * dim_);
+  for (int64_t bi = 0; bi < batch; ++bi) {
+    for (int64_t ti = 0; ti < time; ++ti) {
+      const int id = ids[bi * time + ti];
+      const float* e = tab + static_cast<int64_t>(id) * dim_;
+      for (int64_t j = 0; j < dim_; ++j) cat[j] = e[j];
+      int count = 0;
+      for (int64_t j = 0; j < dim_; ++j) cat[dim_ + j] = 0.0f;
+      for (int64_t dt : {int64_t{-1}, int64_t{1}}) {
+        const int64_t tn = ti + dt;
+        if (tn < 0 || tn >= time) continue;
+        const int idn = ids[bi * time + tn];
+        const float* en = tab + static_cast<int64_t>(idn) * dim_;
+        for (int64_t j = 0; j < dim_; ++j) cat[dim_ + j] += en[j];
+        ++count;
+      }
+      if (count > 0) {
+        const float inv = 1.0f / static_cast<float>(count);
+        for (int64_t j = 0; j < dim_; ++j) cat[dim_ + j] *= inv;
+      }
+      float* orow = out.data() + (bi * time + ti) * dim_;
+      for (int64_t j = 0; j < dim_; ++j) {
+        float acc = b[j];
+        for (int64_t k = 0; k < 2 * dim_; ++k) {
+          acc += cat[k] * w[k * dim_ + j];
+        }
+        orow[j] = std::tanh(acc);
+      }
+    }
+  }
+  return out;
+}
+
+// Widths 8 and 24 leave a partial 16-lane block; 16 and 32 fill them.
+TEST_F(BackendConsistencyTest, FrozenEncoderMatchesJOuterReference) {
+  constexpr int kVocab = 50;
+  constexpr int64_t kBatch = 3, kTime = 24;
+  for (const int64_t dim : {8, 16, 24, 32}) {
+    const uint64_t seed = 60 + static_cast<uint64_t>(dim);
+    const text::FrozenEncoder encoder(kVocab, dim, seed);
+    Rng id_rng(seed + 1);
+    std::vector<int> ids(kBatch * kTime);
+    for (auto& id : ids) id = static_cast<int>(id_rng.UniformInt(kVocab));
+    const std::vector<float> reference =
+        ReferenceEncode(kVocab, dim, seed, ids, kBatch, kTime);
+    for (const bool simd : {false, true}) {
+      for (const int threads : {1, 2}) {
+        SetNumThreads(threads);
+        ScopedSimd scoped(simd);
+        SCOPED_TRACE("dim=" + std::to_string(dim) +
+                     " simd=" + std::to_string(simd) +
+                     " threads=" + std::to_string(threads));
+        const std::vector<float> batched =
+            encoder.Encode(ids, kBatch, kTime).ToVector();
+        EXPECT_TRUE(BitwiseEqual(batched, reference));
+        // Batch-of-one: each sample alone equals its row of the batch.
+        for (int64_t bi = 0; bi < kBatch; ++bi) {
+          const std::vector<int> row(ids.begin() + bi * kTime,
+                                     ids.begin() + (bi + 1) * kTime);
+          const std::vector<float> one =
+              encoder.Encode(row, 1, kTime).ToVector();
+          EXPECT_TRUE(BitwiseEqual(
+              one, std::vector<float>(batched.begin() + bi * kTime * dim,
+                                      batched.begin() +
+                                          (bi + 1) * kTime * dim)))
+              << "sample " << bi;
+        }
+      }
+    }
+  }
+}
+
+// AffineRow on its own, against the j-outer chain, at widths with every
+// kind of tail. Some inputs are +0/-0 and the bias is -0; with all inputs
+// zero, -0 + (+0 * w) is +0, so skipping zero products (as MatMul does)
+// would leave -0 and fail.
+TEST_F(BackendConsistencyTest, AffineRowMatchesJOuterChain) {
+  for (const int64_t n : {1, 8, 15, 16, 17, 24, 32, 33}) {
+    const int64_t k = 2 * n + 1;
+    const Tensor w = Rand({k, n}, 71 + n, false);
+    const float* pw = w.data().data();
+    const std::vector<float> bv(static_cast<size_t>(n), -0.0f);
+    for (const bool all_zero : {false, true}) {
+      std::vector<float> xv = Rand({k}, 70 + n, false).ToVector();
+      for (int64_t i = 0; i < k; ++i) {
+        if (all_zero || i % 3 == 0) xv[i] = (i % 2 == 0) ? 0.0f : -0.0f;
+      }
+      std::vector<float> reference(static_cast<size_t>(n));
+      for (int64_t j = 0; j < n; ++j) {
+        float acc = bv[j];
+        for (int64_t kk = 0; kk < k; ++kk) acc += xv[kk] * pw[kk * n + j];
+        reference[j] = acc;
+      }
+      for (const bool simd : {false, true}) {
+        ScopedSimd scoped(simd);
+        std::vector<float> out(static_cast<size_t>(n));
+        AffineRow(xv.data(), pw, bv.data(), k, n, out.data());
+        EXPECT_TRUE(BitwiseEqual(out, reference))
+            << "n=" << n << " all_zero=" << all_zero << " simd=" << simd;
+      }
+    }
   }
 }
 

@@ -180,5 +180,44 @@ TEST(DataLoaderTest, NoShuffleIsIdentityOrder) {
   }
 }
 
+void ExpectSameBatch(const Batch& a, const Batch& b) {
+  EXPECT_EQ(a.batch_size, b.batch_size);
+  EXPECT_EQ(a.tokens, b.tokens);
+  EXPECT_EQ(a.labels, b.labels);
+  EXPECT_EQ(a.domains, b.domains);
+  EXPECT_EQ(a.style.ToVector(), b.style.ToVector());
+  EXPECT_EQ(a.emotion.ToVector(), b.emotion.ToVector());
+}
+
+// BatchIndices names the rows GetBatch materializes, in the current epoch's
+// order, so a caller holding per-sample rows (TrainDtdbd's frozen teacher
+// outputs) lines them up with the batch. It follows reshuffles and restored
+// states, and the last batch is the short remainder.
+TEST(DataLoaderTest, GetBatchIsMakeBatchOfBatchIndices) {
+  NewsDataset ds = GenerateCorpus(MicroConfig(11));
+  const int64_t batch_size = 13;
+  ASSERT_NE(ds.size() % batch_size, 0);
+  DataLoader loader(&ds, batch_size, /*shuffle=*/true, 7);
+  const auto check = [&] {
+    std::vector<int64_t> all;
+    for (int64_t b = 0; b < loader.num_batches(); ++b) {
+      const std::vector<int64_t> indices = loader.BatchIndices(b);
+      ExpectSameBatch(loader.GetBatch(b), MakeBatch(ds, indices));
+      all.insert(all.end(), indices.begin(), indices.end());
+    }
+    EXPECT_EQ(loader.BatchIndices(loader.num_batches() - 1).size(),
+              static_cast<size_t>(ds.size() % batch_size));
+    EXPECT_EQ(all, loader.GetState().order);
+  };
+  loader.NewEpoch();
+  check();
+  const DataLoader::State after_one = loader.GetState();
+  loader.NewEpoch();
+  loader.NewEpoch();
+  ASSERT_TRUE(loader.SetState(after_one).ok());
+  check();
+  EXPECT_EQ(loader.GetState().order, after_one.order);
+}
+
 }  // namespace
 }  // namespace dtdbd::data

@@ -1,6 +1,7 @@
 #include "dtdbd/dtdbd.h"
 
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -237,6 +238,62 @@ TEST_F(DtdbdEndToEndTest, FullPipelineRunsAndKeepsTeachersFrozen) {
   for (const auto& [k, v] : clean->NamedParameters()) {
     EXPECT_EQ(v.data(), snapshot.at(k)) << k;
     EXPECT_FALSE(v.requires_grad());
+  }
+}
+
+// TrainDtdbd runs each frozen teacher once over the training split
+// (TeacherRows) and gathers every step's rows by the loader's indices. For
+// each kind of teacher the distillation uses, the rows gathered for a
+// shuffled batch, the short last one included, must equal the teacher's
+// Forward on that batch bit for bit.
+TEST_F(DtdbdEndToEndTest, TeacherRowsEqualForwardOnShuffledBatches) {
+  struct TeacherCase {
+    std::string name;
+    std::unique_ptr<models::FakeNewsModel> model;
+    Tensor models::ModelOutput::*field;
+  };
+  std::vector<TeacherCase> cases;
+  DatIeOptions dat;
+  dat.train.epochs = 1;
+  for (const char* arch : {"TextCNN-S", "BiGRU-S"}) {
+    cases.push_back({std::string(arch) + "+DAT",
+                     TrainUnbiasedTeacher(arch, config_, splits_.train,
+                                          nullptr, dat),
+                     &models::ModelOutput::features});
+  }
+  TrainOptions topts;
+  topts.epochs = 1;  // M3FEND's memory bank is written in training
+  for (const char* arch : {"MDFEND", "M3FEND"}) {
+    auto model = models::CreateModel(arch, config_);
+    TrainSupervised(model.get(), splits_.train, nullptr, topts);
+    cases.push_back({arch, std::move(model), &models::ModelOutput::logits});
+  }
+
+  const int64_t batch_size = 20;
+  ASSERT_NE(splits_.train.size() % batch_size, 0);
+  for (TeacherCase& c : cases) {
+    SCOPED_TRACE(c.name);
+    c.model->Freeze();
+    const TeacherRows rows(c.model.get(), c.field, splits_.train, batch_size);
+    data::DataLoader loader(&splits_.train, batch_size, /*shuffle=*/true, 17);
+    loader.NewEpoch();
+    for (int64_t b = 0; b < loader.num_batches(); ++b) {
+      const std::vector<int64_t> indices = loader.BatchIndices(b);
+      tensor::NoGradGuard no_grad;
+      const std::vector<float> forward =
+          (c.model->Forward(loader.GetBatch(b), /*training=*/false).*c.field)
+              .ToVector();
+      const Tensor gathered = rows.Gather(indices);
+      EXPECT_EQ(gathered.shape(),
+                (tensor::Shape{static_cast<int64_t>(indices.size()),
+                               rows.width()}));
+      const std::vector<float> got = gathered.ToVector();
+      ASSERT_EQ(got.size(), forward.size()) << "batch " << b;
+      EXPECT_EQ(std::memcmp(got.data(), forward.data(),
+                            got.size() * sizeof(float)),
+                0)
+          << "batch " << b;
+    }
   }
 }
 
